@@ -1,9 +1,11 @@
 """Command-line interface: JSON in, JSON/CSV/SVG out.
 
-Exit codes separate the three outcomes a script needs to branch on:
-0 for success, 1 for a mathematical negative (the input was understood
-and the answer is no; a witness is serialized to the output channel),
-2 for malformed input or unsupported requests (message on stderr).
+Exit codes separate the outcomes a script needs to branch on: 0 for
+success, 1 for a mathematical negative (the input was understood and the
+answer is no; a witness is serialized to the output channel), 2 for
+malformed input or unsupported requests (message on stderr), and 3 for
+an internal fault: a computed answer failed its exact certificate and
+was withheld (message on stderr).
 """
 
 import argparse
@@ -29,7 +31,7 @@ from .division import (
     divide,
     variety_containment_witness,
 )
-from .exact import QuadExt, TropfactorError
+from .exact import CertificateError, QuadExt, TropfactorError
 from .formats import SchemaError
 from .minkowski import (
     NotASummand,
@@ -357,6 +359,12 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
+def _report(e: Exception, code: int) -> int:
+    print(formats.dump_json({"error": type(e).__name__, "message": str(e)}),
+          end="", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -364,18 +372,16 @@ def main(argv=None) -> int:
         try:
             code, text = args.handler(args)
         except TropfactorError as e:
-            if isinstance(e, _INPUT_ERRORS):
+            if isinstance(e, _INPUT_ERRORS + (CertificateError,)):
                 raise
             _write(args, formats.dump_json(_error_payload(e)))
             return 1
         _write(args, text)
         return code
     except _INPUT_ERRORS + (OSError,) as e:
-        message = str(e)
-        print(formats.dump_json({"error": type(e).__name__,
-                                 "message": message}),
-              end="", file=sys.stderr)
-        return 2
+        return _report(e, 2)
+    except CertificateError as e:
+        return _report(e, 3)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,14 @@ variety of g must sit inside the variety of f, and on every wall of T(f)
 the weight of f must dominate the weight pulled back from g.  Both
 failure modes raise, with an exact witness attached.
 
+Everything is decided on the one complex T(f); T(g) is never built.
+V(g) lies inside V(f) exactly when a single term of g is maximal on each
+chamber of T(f), which the chamber's generators decide: the open chamber
+is convex, so the winning term at one interior point must stay maximal
+at every vertex, along every ray and along both directions of every
+lineality generator.  When a term overtakes it, the first tie on the way
+there is a point of V(g) inside the open chamber.
+
 reconstruct_from_fan integrates a weighted complete fan back into a
 polytope: walking the chamber graph, the supporting linear form changes
 by weight times wall normal at each crossing, and the gradients of the
@@ -19,6 +27,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional
 
 from .exact import (
+    CertificateError,
     TropfactorError,
     dot,
     primitive_of_rational,
@@ -27,7 +36,7 @@ from .exact import (
     vadd,
     vsub,
 )
-from .polyhedra import Fan, LatticePolytope, demote_vector
+from .polyhedra import Fan, LatticePolytope, demote_vector, rref_basis
 from .tropical import TropicalComplex, TropicalPolynomial
 
 
@@ -61,28 +70,57 @@ class NotBalanced(TropfactorError):
 # variety containment
 
 
-def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial):
+def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
+                                Tf: Optional[TropicalComplex] = None):
     """A point of V(g) \\ V(f), or None when V(g) is contained in V(f).
 
-    Each wall of T(g) is cut along the chambers of T(f); a piece either
-    lies on the boundary of its chamber (hence inside V(f)) or its
-    relative interior is in the open chamber, which one interior probe
-    detects exactly.
+    V(f) misses exactly the open chambers of T(f), so containment holds
+    iff no open chamber D meets V(g), i.e. iff one term b of g is the
+    unique maximum on all of int(D).  Take b = argmax of g at an interior
+    point p of D; a tie there makes p the witness.  Otherwise b must stay
+    maximal on the generators of D: at each vertex w, on the segment from
+    p to w, and for all t >= 0 along each ray and each +/- lineality
+    direction u.  If some term overtakes b along p + t*u within that
+    range, the first tie point is in V(g) and still interior to D, since
+    it lies strictly before the vertex or on an unbounded direction.
+    Tf may pass a prebuilt f.dual_complex().
     """
     if g.n != f.n:
         raise ValueError("ambient dimensions differ")
-    Tg = g.dual_complex()
-    Tf = f.dual_complex()
-    for wk in sorted(Tg.walls):
-        sigma = Tg.walls[wk]
-        for D in Tf.chambers:
-            piece = sigma.intersect(D)
-            if piece.is_empty():
-                continue
-            p = piece.relative_interior_point()
-            if len(f.argmax(p)) == 1:
-                return p
+    if Tf is None:
+        Tf = f.dual_complex()
+    for D in Tf.chambers:
+        p = D.relative_interior_point()
+        arg = g.argmax(p)
+        if len(arg) > 1:
+            return p
+        b = arg[0]
+        steps = [(vsub(w, p), 1) for w in D.vertices]
+        steps += [(u, None) for u in D.rays]
+        steps += [(u, None) for l in D.lineality
+                  for u in (l, tuple(-x for x in l))]
+        for u, limit in steps:
+            t = _first_tie(g, b, p, u)
+            if t is not None and (limit is None or t < limit):
+                return tuple(x + t * y for x, y in zip(p, u))
     return None
+
+
+def _first_tie(g: TropicalPolynomial, b, p, u):
+    """Smallest t > 0 where a term of g catches up with b along p + t*u.
+
+    b is the unique maximal term of g at p; None if no term gains on b.
+    """
+    lead = g.terms[b] + dot(b, p)
+    slope = dot(b, u)
+    best = None
+    for c, vc in g.terms.items():
+        gain = dot(c, u) - slope
+        if sign(gain) > 0:
+            t = (lead - vc - dot(c, p)) / gain
+            if best is None or t < best:
+                best = t
+    return best
 
 
 def variety_contained(g: TropicalPolynomial, f: TropicalPolynomial) -> bool:
@@ -110,11 +148,14 @@ def extend_weights(f: TropicalPolynomial, g: TropicalPolynomial,
         if len(arg) == 1:
             out[wk] = Fraction(0)
             continue
-        seg = LatticePolytope(list(arg))
-        assert seg.dim() == 1, (
-            "a wall relative interior meets the variety of g in a wall there")
-        u, v = seg.vertices[0], seg.vertices[-1]
-        out[wk] = rational_content(vsub(v, u))
+        # collinear points sort along their line: the ends come first and last
+        arg.sort()
+        u = arg[0]
+        if len(rref_basis([vsub(v, u) for v in arg[1:]])) != 1:
+            raise CertificateError(
+                f"g has non-collinear maximal terms {arg} inside the wall "
+                f"dual to {Tf.wall_duals[wk]}, though V(g) lies in V(f)")
+        out[wk] = rational_content(vsub(arg[-1], u))
     return out
 
 
@@ -125,12 +166,12 @@ def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
     the weight criterion fails on some wall of T(f).  When both checks
     pass, f - g is convex and h is the maximum of the per-chamber
     difference forms; the identity g (.) h = f is verified exactly before
-    returning.
+    returning, and CertificateError reports a failure of that check.
     """
-    witness = variety_containment_witness(g, f)
+    Tf = f.dual_complex()
+    witness = variety_containment_witness(g, f, Tf)
     if witness is not None:
         raise NotContained(witness)
-    Tf = f.dual_complex()
     wup = extend_weights(f, g, Tf)
     for wk in sorted(Tf.walls):
         if Tf.wall_weights[wk] < wup[wk]:
@@ -146,8 +187,9 @@ def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
         if e not in terms or c > terms[e]:
             terms[e] = c
     h = TropicalPolynomial(terms, n=f.n)
-    assert (g * h).same_function(f), (
-        "the divisibility criterion certifies the chamber-difference quotient")
+    if not (g * h).same_function(f):
+        raise CertificateError(
+            "g (.) h differs from f although the divisibility criterion held")
     return h
 
 

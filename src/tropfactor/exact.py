@@ -22,6 +22,14 @@ class TropfactorError(Exception):
     """Base class for all structured errors raised by this package."""
 
 
+class CertificateError(TropfactorError):
+    """An exact check of a computed answer failed.
+
+    This is a fault of the program, not a property of the input: it is
+    raised instead of returning an answer that could not be certified.
+    """
+
+
 class ZeroVector(TropfactorError):
     pass
 

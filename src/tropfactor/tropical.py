@@ -15,6 +15,7 @@ varieties among weighted complexes.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Optional, Sequence, Tuple
@@ -118,12 +119,8 @@ class TropicalPolynomial:
     def essential_terms(self) -> Dict[Exponent, Fraction]:
         """Terms that are the unique maximum somewhere (upper hull vertices)."""
         if self._essential is None:
-            verts = set()
-            for cell in self.subdivision().cells:
-                verts.update(LatticePolytope(list(cell)).vertices)
-            ess = {tuple(int(x) for x in a): self.terms[tuple(int(x) for x in a)]
-                   for a in verts}
-            self._essential = dict(sorted(ess.items()))
+            self._essential = {a: self.terms[a]
+                               for a in self.subdivision().vertices()}
         return self._essential
 
     def same_function(self, other: "TropicalPolynomial") -> bool:
@@ -139,61 +136,87 @@ class RegularSubdivision:
     Cells are recorded as tuples of exponent vectors: all lifted points
     lying on the corresponding upper face, so terms absorbed into the
     interior or boundary of a cell are kept visible.
+
+    Every face of the subdivision is read off the one lifted hull through
+    facet incidences: tight[i] is the set of hull facets the i-th lifted
+    point lies on.  A face is the set of points tight on a set T of facets;
+    it belongs to the subdivision when T contains an upper facet.  When
+    the lift is affine (or there is a single term) the whole lifted
+    polytope is the one cell, recorded as an extra upper facet every point
+    is tight on.
     """
 
     def __init__(self, f: TropicalPolynomial):
-        self.f = f
+        # no reference back to f: f caches its subdivision
+        self.points = list(f.terms)
         lifted = [a + (v,) for a, v in f.terms.items()]
-        self.cells: list[tuple] = []
-        if len(lifted) == 1:
-            self.cells = [tuple(f.terms)]
-            return
-        L = Polyhedron.from_generators(lifted)
-        ineqs, eqs = L.minimal_hrep()
-        if any(a[-1] for a, _ in eqs):
+        ineqs, eqs = [], []
+        if len(lifted) > 1:
+            ineqs, eqs = Polyhedron.from_generators(lifted).minimal_hrep()
+        self.tight = [frozenset(i for i, (a, b) in enumerate(ineqs)
+                                if dot(a, p) == b) for p in lifted]
+        if len(lifted) == 1 or any(a[-1] for a, _ in eqs):
             # the lift is affine over the Newton polytope: trivial subdivision
-            self.cells = [tuple(sorted(f.terms))]
-            return
-        for a, b in ineqs:
-            if sign(a[-1]) <= 0:
-                continue
-            cell = tuple(sorted(p[:-1] for p in lifted if dot(a, p) == b))
-            self.cells.append(cell)
-        self.cells.sort()
-        assert self.cells, "an upper facet exists whenever the lift is not affine"
+            whole = len(ineqs)
+            self.tight = [t | {whole} for t in self.tight]
+            self.upper = frozenset((whole,))
+        else:
+            self.upper = frozenset(i for i, (a, _) in enumerate(ineqs)
+                                   if sign(a[-1]) > 0)
+            assert self.upper, (
+                "an upper facet exists whenever the lift is not affine")
+        self.cells = sorted(
+            tuple(p for p, t in zip(self.points, self.tight) if i in t)
+            for i in self.upper)
+        self._vertices = None
+
+    def _face(self, T):
+        """Indices of the points tight on every facet in T."""
+        return [k for k, t in enumerate(self.tight) if t >= T]
+
+    def _vertex_indices(self):
+        if self._vertices is None:
+            self._vertices = [
+                i for i, t in enumerate(self.tight)
+                if t & self.upper and self._face(t) == [i]]
+        return self._vertices
 
     def vertices(self):
-        out = set()
-        for cell in self.cells:
-            out.update(LatticePolytope(list(cell)).vertices)
-        return sorted(tuple(int(x) for x in v) for v in out)
+        return [self.points[i] for i in self._vertex_indices()]
+
+    def _edge_facets(self):
+        """(i, j, T) for each edge: vertex indices and shared facets."""
+        vs = self._vertex_indices()
+        tight = self.tight
+        out = []
+        for i, j in itertools.combinations(vs, 2):
+            T = tight[i] & tight[j]
+            if T & self.upper and not any(
+                    tight[k] >= T for k in vs if k != i and k != j):
+                out.append((i, j, T))
+        return out
 
     def edges(self):
         """Edges of the subdivision, as ordered pairs of exponent vertices."""
-        out = set()
-        for cell in self.cells:
-            P = LatticePolytope(list(cell))
-            if P.dim() == 0:
-                continue
-            if P.dim() == 1:
-                vs = P.vertices
-                out.add((vs[0], vs[1]))
-                continue
-            for u, v in P.edges():
-                out.add(tuple(sorted((u, v))))
-        return sorted((tuple(int(x) for x in u), tuple(int(x) for x in v))
-                      for u, v in out)
+        pts = self.points
+        return [(pts[i], pts[j]) for i, j, _ in self._edge_facets()]
 
     def two_faces(self):
         """2-dimensional faces of the subdivision, as sorted vertex tuples."""
+        vs = set(self._vertex_indices())
         out = set()
-        for cell in self.cells:
-            P = LatticePolytope(list(cell))
-            if P.dim() < 2:
+        for (i1, j1, T1), (i2, j2, T2) in itertools.combinations(
+                self._edge_facets(), 2):
+            if not {i1, j1} & {i2, j2}:
                 continue
-            for fv in P.two_faces():
-                out.add(tuple(sorted(fv)))
-        return sorted(tuple(tuple(int(x) for x in v) for v in fv) for fv in out)
+            T = T1 & T2
+            if not T & self.upper:
+                continue
+            face = tuple(k for k in self._face(T) if k in vs)
+            pts = [self.points[k] for k in face]
+            if len(rref_basis([vsub(p, pts[0]) for p in pts[1:]])) == 2:
+                out.add(tuple(pts))
+        return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +229,15 @@ class TropicalComplex:
     chambers are the closed regions where one essential term is maximal;
     walls (codimension 1) are dual to subdivision edges and weighted by
     their lattice length; ridges (codimension 2) are dual to subdivision
-    2-faces.  The attribute names match Fan so the balancing check below
-    serves both.
+    2-faces and are built on first use.  The attribute names match Fan so
+    the balancing check below serves both.
     """
 
     def __init__(self, f: TropicalPolynomial):
         self.f = f
         self.n = f.n
         sub = f.subdivision()
-        ess = f.essential_terms()
-        self.chamber_terms = list(ess)
+        self.chamber_terms = list(f.essential_terms())
         self.chambers = []
         for a in self.chamber_terms:
             va = f.terms[a]
@@ -236,40 +258,54 @@ class TropicalComplex:
             self.wall_duals[k] = (a, b)
             self.wall_weights[k] = rational_content(vsub(b, a))
             self._wall_sides[k] = [(ia, None), (ib, None)]
-        self.ridges = {}
-        self.ridge_walls = {}
-        self.ridge_duals = {}
-        for face in sub.two_faces():
+        self._ridges = None
+        self._ridge_walls = None
+        self._ridge_duals = None
+
+    def _compute_ridges(self):
+        f = self.f
+        index = {a: i for i, a in enumerate(self.chamber_terms)}
+        self._ridges = {}
+        self._ridge_walls = {}
+        self._ridge_duals = {}
+        for face in f.subdivision().two_faces():
             a0 = face[0]
             base = self.chambers[index[a0]]
             eqs = [(vsub(b, a0), f.terms[a0] - f.terms[b]) for b in face[1:]]
             R = Polyhedron(self.n, base.inequalities, base.equalities + eqs)
             k = R.key()
             assert R.dim() == self.n - 2, "subdivision 2-faces dualize to ridges"
-            self.ridges[k] = R
-            self.ridge_duals[k] = face
-            P = LatticePolytope(list(face))
-            fedges = set()
-            for u, v in P.edges():
-                fedges.add(tuple(sorted((u, v))))
-            self.ridge_walls[k] = []
-            for wk, e in self.wall_duals.items():
-                if tuple(sorted(e)) in fedges:
-                    self.ridge_walls[k].append(wk)
+            self._ridges[k] = R
+            self._ridge_duals[k] = face
+            # an edge of the subdivision with both ends in the face is an
+            # edge of the face
+            members = set(face)
+            self._ridge_walls[k] = [wk for wk, (a, b) in self.wall_duals.items()
+                                    if a in members and b in members]
+
+    @property
+    def ridges(self):
+        if self._ridges is None:
+            self._compute_ridges()
+        return self._ridges
+
+    @property
+    def ridge_walls(self):
+        """ridge key -> list of wall keys containing it."""
+        if self._ridges is None:
+            self._compute_ridges()
+        return self._ridge_walls
+
+    @property
+    def ridge_duals(self):
+        """ridge key -> the vertex tuple of the dual subdivision 2-face."""
+        if self._ridges is None:
+            self._compute_ridges()
+        return self._ridge_duals
 
     @property
     def wall_chambers(self):
         return self._wall_sides
-
-    def chamber_of_point(self, x) -> Optional[int]:
-        for i, C in enumerate(self.chambers):
-            if C.contains(x):
-                return i
-        return None
-
-    def one_cells(self):
-        """The walls, as polyhedra (convenience accessor)."""
-        return list(self.walls.values())
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,15 @@ class TestDivide:
         assert payload["error"] == "NotContained"
         assert len(payload["witness"]["point"]) == 2
 
+    def test_failed_certificate_exits_3(self, files, capsys, monkeypatch):
+        from tropfactor.tropical import TropicalPolynomial
+        monkeypatch.setattr(TropicalPolynomial, "same_function",
+                            lambda self, other: False)
+        code, out, err = run(["divide", files["f"], files["g"]], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "CertificateError"
+        assert "Traceback" not in err
+
     def test_missing_file(self, files, capsys):
         code, out, err = run(["divide", files["f"], "/nonexistent.json"],
                              capsys)

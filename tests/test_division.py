@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from property_sweeps import random_polynomial
 from tropfactor.division import (
     NegativeWeight,
     NotBalanced,
@@ -13,6 +15,7 @@ from tropfactor.division import (
     variety_containment_witness,
     variety_contained,
 )
+from tropfactor.exact import CertificateError
 from tropfactor.polyhedra import LatticePolytope
 from tropfactor.tropical import TropicalComplex, TropicalPolynomial
 
@@ -33,6 +36,35 @@ def ray_weights(fan, by_direction):
         out[k] = by_direction[W.rays[0]]
     assert len(out) == len(by_direction)
     return out
+
+
+def containment_by_intersection(g, f):
+    """Reference route for variety_containment_witness.
+
+    Each wall of T(g) is cut along the chambers of T(f); a piece either
+    lies on the boundary of its chamber (hence inside V(f)) or its
+    relative interior is in the open chamber, which one interior probe
+    detects exactly.
+    """
+    Tg = g.dual_complex()
+    Tf = f.dual_complex()
+    for wk in sorted(Tg.walls):
+        sigma = Tg.walls[wk]
+        for D in Tf.chambers:
+            piece = sigma.intersect(D)
+            if piece.is_empty():
+                continue
+            p = piece.relative_interior_point()
+            if len(f.argmax(p)) == 1:
+                return p
+    return None
+
+
+def collinear_polynomial(rng, direction, k):
+    """Terms on one line: every chamber of its complex has lineality."""
+    return TropicalPolynomial(
+        {tuple(t * x for x in direction): Fraction(rng.randint(-16, 16), 2)
+         for t in rng.sample(range(-3, 4), k)})
 
 
 class TestVarietyContainment:
@@ -66,6 +98,47 @@ class TestVarietyContainment:
         g = TropicalPolynomial({(1, 1): -3})
         f = TropicalPolynomial(F_TERMS)
         assert variety_contained(g, f)  # empty variety
+
+    def test_prebuilt_complex_gives_the_same_witness(self):
+        g = TropicalPolynomial({(0, 0): 0, (1, 1): 0})
+        f = TropicalPolynomial(F_TERMS)
+        assert (variety_containment_witness(g, f, f.dual_complex())
+                == variety_containment_witness(g, f))
+
+
+class TestContainmentAgainstIntersections:
+    """The per-chamber test agrees with cutting walls of T(g) by T(f)."""
+
+    @staticmethod
+    def pairs(rng, n, count):
+        d = (1, -2) if n == 2 else (1, 2, -1)
+        e = (1, 1) if n == 2 else (0, 1, 1)
+        out = []
+        for _ in range(count):
+            g = random_polynomial(rng, n, max_terms=5)
+            h = random_polynomial(rng, n, max_terms=5)
+            out += [(g, h), (g, g * h), (h, g * h), (g * g, g * h)]
+            monomial = tuple(rng.randint(-2, 2) for _ in range(n))
+            out.append((TropicalPolynomial({monomial: rng.randint(-8, 8)}), h))
+            # chambers with lineality: collinear supports, both ways
+            L = collinear_polynomial(rng, d, rng.randint(2, 5))
+            M = collinear_polynomial(rng, d, rng.randint(2, 5))
+            out += [(L, M), (L, L * M), (L, h), (g, L),
+                    (collinear_polynomial(rng, e, 3), L * M)]
+        return out
+
+    @pytest.mark.parametrize("n, count, seed", [(2, 12, 5), (3, 3, 6)])
+    def test_verdicts_and_witnesses(self, n, count, seed):
+        verdicts = Counter()
+        for g, f in self.pairs(random.Random(seed), n, count):
+            w = variety_containment_witness(g, f)
+            ref = containment_by_intersection(g, f)
+            assert (w is None) == (ref is None), (g.terms, f.terms)
+            verdicts[w is None] += 1
+            if w is not None:
+                assert len(g.argmax(w)) >= 2
+                assert len(f.argmax(w)) == 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestExtendWeights:
@@ -159,6 +232,42 @@ class TestDivide:
             f = g * h
             q = divide(f, g)
             assert q.same_function(h)
+
+
+class TestCertificates:
+    def test_failed_product_identity_raises(self, monkeypatch):
+        monkeypatch.setattr(TropicalPolynomial, "same_function",
+                            lambda self, other: False)
+        with pytest.raises(CertificateError):
+            divide(TropicalPolynomial(F_TERMS), TropicalPolynomial(G_TERMS))
+
+    def test_non_collinear_tie_on_a_wall_raises(self):
+        f = TropicalPolynomial({(0, 0): 0, (1, 0): 0})       # wall x1 = 0
+        g = TropicalPolynomial({(0, 0): 0, (1, 0): 0, (0, 1): 0})
+        # the tripod of g ties three terms on the wall: V(g) is not in V(f)
+        with pytest.raises(CertificateError):
+            extend_weights(f, g)
+
+    def test_divide_builds_one_complex_and_no_ridges(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            orig = getattr(TropicalComplex, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(TropicalComplex, name, wrapper)
+
+        counted("__init__")
+        counted("_compute_ridges")
+        g = TropicalPolynomial({(0, 0, 0): 0, (1, 0, 0): -1,
+                                (0, 1, 1): -2, (1, 1, 0): 1})
+        h = TropicalPolynomial({(0, 0, 0): 0, (0, 0, 1): 1, (1, 1, 1): -3})
+        q = divide(g * h, g)
+        assert q.same_function(h)
+        assert calls["__init__"] == 1
+        assert calls["_compute_ridges"] == 0
 
 
 class TestReconstruct:

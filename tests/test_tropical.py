@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from property_sweeps import random_polynomial
 from tropfactor.polyhedra import LatticePolytope
 from tropfactor.tropical import (
     TropicalComplex,
@@ -176,13 +177,6 @@ class TestDualComplex:
         assert T.walls == {}
         assert is_balanced(T)
 
-    def test_chamber_of_point(self):
-        T = TropicalComplex(TropicalPolynomial(F_TERMS))
-        i = T.chamber_of_point((-100, -100))
-        assert T.chamber_terms[i] == (0, 0)
-        j = T.chamber_of_point((100, 100))
-        assert T.chamber_terms[j] == (2, 2)
-
 
 class TestCovector:
     def test_tripod_covectors(self):
@@ -239,3 +233,72 @@ class TestRandomized:
                 return TropicalPolynomial(terms)
             f = rand_poly() * rand_poly()
             assert is_balanced(TropicalComplex(f))
+
+
+def cellwise_faces(f):
+    """Vertices, edges and 2-faces of the subdivision, one hull per cell.
+
+    The reference route for the incidence-derived faces: each cell's
+    vertex set, edges and 2-faces come from its own LatticePolytope.
+    """
+    verts, edges, faces = set(), set(), set()
+    for cell in f.subdivision().cells:
+        P = LatticePolytope(list(cell))
+        verts.update(P.vertices)
+        if P.dim() == 1:
+            edges.add(P.vertices)
+        elif P.dim() >= 2:
+            edges.update(tuple(sorted(e)) for e in P.edges())
+            faces.update(tuple(sorted(fv)) for fv in P.two_faces())
+
+    def ints(v):
+        return tuple(int(x) for x in v)
+    return (sorted(map(ints, verts)),
+            sorted(tuple(map(ints, e)) for e in edges),
+            sorted(tuple(map(ints, fv)) for fv in faces))
+
+
+class TestSubdivisionFromIncidences:
+    SPECIAL = {
+        # all coefficients 0: the lift is affine, one cell with an
+        # absorbed interior point and a boundary point
+        "affine lift": {(0, 0): 0, (2, 0): 0, (0, 2): 0, (2, 2): 0,
+                        (1, 1): 0, (1, 0): 0},
+        "tilted affine lift": {(0, 0, 0): 1, (1, 0, 0): 3, (0, 1, 0): -1,
+                               (0, 0, 1): 2, (1, 1, 1): 3},
+        "single term": {(3, 1): 5},
+        "segment support": {(0, 0): 0, (1, 1): 2, (2, 2): 1, (3, 3): -4},
+        "planar support in 3-space": {(0, 0, 0): 0, (1, 0, 1): 1,
+                                      (0, 1, 1): 1, (1, 1, 2): -1,
+                                      (2, 1, 3): 0},
+        "tent": TENT_TERMS,
+        "division example": F_TERMS,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL))
+    def test_special_supports(self, name):
+        self.check(TropicalPolynomial(self.SPECIAL[name]))
+
+    def test_random_polynomials(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            n = rng.choice([1, 2, 2, 3])
+            self.check(random_polynomial(rng, n, max_terms=9))
+
+    def test_random_products(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            n = rng.choice([2, 3])
+            g = random_polynomial(rng, n, max_terms=4)
+            h = random_polynomial(rng, n, max_terms=4)
+            self.check(g * h)
+
+    @staticmethod
+    def check(f):
+        sub = f.subdivision()
+        verts, edges, faces = cellwise_faces(f)
+        assert sub.vertices() == verts
+        assert list(f.essential_terms()) == verts
+        assert all(f.essential_terms()[a] == f.terms[a] for a in verts)
+        assert sub.edges() == edges
+        assert sub.two_faces() == faces
