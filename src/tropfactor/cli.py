@@ -25,12 +25,7 @@ from .coxeter import (
     phi_weight_cone_basis,
     phi_weights,
 )
-from .division import (
-    NegativeWeight,
-    NotContained,
-    divide,
-    variety_containment_witness,
-)
+from .division import NegativeWeight, NotContained, divide
 from .exact import CertificateError, QuadExt, TropfactorError
 from .formats import SchemaError
 from .minkowski import (
@@ -254,9 +249,6 @@ def _cmd_plot(args) -> Tuple[int, str]:
         if args.divisor is not None:
             divisor = formats.polynomial_from_json(
                 formats.load_json(args.divisor))
-            witness = variety_containment_witness(divisor, f)
-            if witness is not None:
-                raise NotContained(witness)
         return 0, svg.render_polynomial(f, divisor)
     if kind == "polytope":
         return 0, svg.render_polytope(formats.polytope_from_json(obj))

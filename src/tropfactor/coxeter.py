@@ -23,7 +23,7 @@ Gram matrix, and every root has squared length 2 on the type A side.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict
 
 from .exact import (
     TropfactorError,
@@ -38,6 +38,12 @@ from .exact import (
     vsub,
 )
 from .division import reconstruct_from_fan
+from .minkowski import (
+    FactorizationBasis,
+    WeightVector,
+    certify_signed_sum,
+    wall_lengths,
+)
 from .polyhedra import (
     Fan,
     LatticePolytope,
@@ -82,13 +88,14 @@ class RootSystem:
         self.tag = tag
         self.n = n
         self.gram = tuple(tuple(row) for row in gram)
-        self.pgram = _invert_gram(self.gram)
+        # the inverse of the symmetric gram, column by column
+        self.pgram = tuple(
+            solve_linear(self.gram, tuple(int(i == j) for i in range(n)))
+            for j in range(n))
         self.int_roots = tuple(int_roots)
         self.int_positive = tuple(r for r in self.int_roots
                                   if _lex_positive(r))
         self.roots = tuple(self.unit_root(r) for r in self.int_roots)
-        self.positive_roots = tuple(self.unit_root(r)
-                                    for r in self.int_positive)
         self.int_simple = tuple(self._find_simple())
         self.simple_roots = tuple(self.unit_root(r) for r in self.int_simple)
 
@@ -151,23 +158,6 @@ def _lex_positive(r) -> bool:
         if x:
             return x > 0
     return False
-
-
-def _invert_gram(gram):
-    n = len(gram)
-    aug = [list(map(Fraction, row)) + [Fraction(1) if j == i else Fraction(0)
-                                       for j in range(n)]
-           for i, row in enumerate(gram)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def build_root_system(tag: str) -> RootSystem:
@@ -410,75 +400,11 @@ def root_balanced(cf: CoxeterFan, w) -> bool:
     return all(dot(row, values) == 0 for row in cf._phi_rows())
 
 
-def covector_balanced(cf: CoxeterFan, w) -> bool:
-    """Balancedness in the unit-covector form, when it stays in the field.
-
-    Around each ridge the covectors of its star are projected onto the
-    orthogonal complement of the ridge span, normalized to unit length
-    and summed with their weights; balance means the sum lies in the
-    ridge span.  Raises ValueError when a covector norm leaves
-    Q(sqrt(2)) (already for A_2, whose ray norms are sqrt(6)); the root
-    form is the exact test in general.
-    """
-    by_key = cf.weight_dict(w)
-    fan, rs = cf.fan, cf.rs
-    for rk in sorted(fan.ridges):
-        tau = fan.ridges[rk]
-        pi = annihilator_lattice(tau)
-        span = _ridge_span(tau)
-        total = None
-        for wk in fan.ridge_walls[rk]:
-            c = covector(tau, fan.walls[wk])
-            c = _gram_perp(rs, c, span)
-            u = demote_vector(x / rs.root_norm(c) for x in c)
-            contrib = vscale(by_key[wk], u)
-            total = contrib if total is None else vadd(total, contrib)
-        if any(dot(p, total) != 0 for p in pi):
-            return False
-    return True
-
-
-def _ridge_span(tau: Polyhedron):
-    verts, rays, lin = tau.vertices, tau.rays, tau.lineality
-    dirs = [vsub(v, verts[0]) for v in verts[1:]] + list(rays) + list(lin)
-    return [d for d in dirs if any(d)]
-
-
-def _gram_perp(rs: RootSystem, c, span):
-    """Component of c orthogonal to the span in the dual metric."""
-    if not span:
-        return c
-    gram = [[rs.gdot(a, b) for b in span] for a in span]
-    rhs = [rs.gdot(c, b) for b in span]
-    coeffs = solve_linear(gram, rhs)
-    out = c
-    for t, b in zip(coeffs, span):
-        out = vsub(out, vscale(t, b))
-    return demote_vector(out)
-
-
 # ---------------------------------------------------------------------------
 # the weight cone over the field
 
 
-class PhiBasis:
-    """A non-negative basis of the balanced weight space of a Coxeter fan."""
-
-    def __init__(self, cfan: CoxeterFan, vectors: List[Dict],
-                 polytopes: List[LatticePolytope]):
-        self.cfan = cfan
-        self.vectors = vectors
-        self.polytopes = polytopes
-
-    @property
-    def r(self) -> int:
-        return len(self.vectors)
-
-    def matrix(self) -> List[tuple]:
-        return [self.cfan.weight_values(v) for v in self.vectors]
-
-
-def phi_weight_cone_basis(cf: CoxeterFan) -> PhiBasis:
+def phi_weight_cone_basis(cf: CoxeterFan) -> FactorizationBasis:
     """A basis of the balanced weight space, non-negative entry-wise.
 
     The space is the kernel of the stacked root-form maps over
@@ -486,7 +412,9 @@ def phi_weight_cone_basis(cf: CoxeterFan) -> PhiBasis:
     contributes w(F+) - w(F-) = 0) and strictly positive, so exchanging
     it into a kernel basis and adding suitable multiples of it to the
     other elements yields a non-negative basis.  Each basis vector is
-    realized as a polytope by support reconstruction.
+    realized as a polytope by support reconstruction.  The rows of the
+    basis matrix follow cf.wall_order, and edges are measured in the
+    primal metric.
     """
     m = len(cf.wall_order)
     rows = cf._phi_rows()
@@ -505,9 +433,11 @@ def phi_weight_cone_basis(cf: CoxeterFan) -> PhiBasis:
         if sign(low) < 0:
             v = vadd(v, vscale(-low, ones))
         out.append(demote_vector(v))
-    vectors = [dict(zip(cf.wall_order, v)) for v in out]
-    polys = [reconstruct_phi(cf, v) for v in vectors]
-    return PhiBasis(cf, vectors, polys)
+    vectors = [WeightVector(cf.fan, dict(zip(cf.wall_order, v)))
+               for v in out]
+    polys = [reconstruct_phi(cf, v.by_key) for v in vectors]
+    return FactorizationBasis(cf.fan, vectors, polys, order=cf.wall_order,
+                              length=cf.rs.primal_norm)
 
 
 def reconstruct_phi(cf: CoxeterFan, w) -> LatticePolytope:
@@ -540,38 +470,10 @@ def phi_weights(P: LatticePolytope, cf: CoxeterFan) -> Dict:
     refinement forces every edge to be parallel to a mirror normal, so
     all lengths stay in Q(sqrt(2)).
     """
-    fan = cf.fan
-    if P.n != fan.n:
-        raise ValueError("polytope and fan live in different dimensions")
-    for C in fan.chambers:
-        p = C.relative_interior_point()
-        F = set(P.face_vertices(p))
-        dirs = list(C.rays)
-        for l in C.lineality:
-            dirs.append(l)
-            dirs.append(tuple(-x for x in l))
-        for ray in dirs:
-            if not F <= set(P.face_vertices(ray)):
-                raise NotAPhiPolytope(
-                    "a chamber of the Coxeter fan crosses a wall of the "
-                    "polytope's normal fan, so the edges cannot all be "
-                    "parallel to roots")
-    out = {}
-    for wk, W in fan.walls.items():
-        p = W.relative_interior_point()
-        verts = P.face_vertices(p)
-        face = LatticePolytope(verts)
-        d = face.dim()
-        assert d <= 1, "refined walls meet faces of dimension at most one"
-        if d == 0:
-            out[wk] = Fraction(0)
-        else:
-            u, v = face.vertices[0], face.vertices[-1]
-            out[wk] = cf.rs.primal_norm(vsub(v, u))
-    return out
+    return wall_lengths(P, cf.fan, cf.rs.primal_norm, NotAPhiPolytope)
 
 
-def phi_expand(P: LatticePolytope, basis: PhiBasis) -> tuple:
+def phi_expand(P: LatticePolytope, basis: FactorizationBasis) -> tuple:
     """The unique y over the basis with w_P = sum_i y_i b_i.
 
     Existence holds because extended weights of a polytope are balanced
@@ -580,25 +482,12 @@ def phi_expand(P: LatticePolytope, basis: PhiBasis) -> tuple:
     Minkowski identity P + sum(y_i^- B_i) = sum(y_i^+ B_i) before it is
     returned.
     """
-    cf = basis.cfan
-    wp = phi_weights(P, cf)
-    rhs = cf.weight_values(wp)
+    wp = wall_lengths(P, basis.fan, basis.length, NotAPhiPolytope)
     cols = basis.matrix()
     y = solve_linear([tuple(col[i] for col in cols)
-                      for i in range(len(rhs))], rhs)
-    assert y is not None, (
-        "extended weights are balanced, hence in the span of the basis")
-    lhs = P
-    rhs_poly = LatticePolytope([tuple(Fraction(0) for _ in range(P.n))])
-    for yi, B in zip(y, basis.polytopes):
-        s = sign(yi)
-        if s < 0:
-            lhs = lhs + B.scale(-yi)
-        elif s > 0:
-            rhs_poly = rhs_poly + B.scale(yi)
-    assert (lhs.normalize_translation() == rhs_poly.normalize_translation()), (
-        "the signed Minkowski identity of the expansion holds exactly")
-    return demote_vector(y)
+                      for i in range(len(basis.order))],
+                     [wp[k] for k in basis.order])
+    return demote_vector(certify_signed_sum(P, y, basis.polytopes))
 
 
 def phi_permutahedron(rs: RootSystem, x) -> LatticePolytope:

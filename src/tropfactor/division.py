@@ -141,22 +141,28 @@ def extend_weights(f: TropicalPolynomial, g: TropicalPolynomial,
     """
     if Tf is None:
         Tf = f.dual_complex()
-    out = {}
-    for wk, sigma in Tf.walls.items():
-        p = sigma.relative_interior_point()
-        arg = g.argmax(p)
-        if len(arg) == 1:
-            out[wk] = Fraction(0)
-            continue
-        # collinear points sort along their line: the ends come first and last
-        arg.sort()
-        u = arg[0]
-        if len(rref_basis([vsub(v, u) for v in arg[1:]])) != 1:
-            raise CertificateError(
-                f"g has non-collinear maximal terms {arg} inside the wall "
-                f"dual to {Tf.wall_duals[wk]}, though V(g) lies in V(f)")
-        out[wk] = rational_content(vsub(arg[-1], u))
-    return out
+    return {wk: segment_length(g.argmax(sigma.relative_interior_point()),
+                               rational_content)
+            for wk, sigma in Tf.walls.items()}
+
+
+def segment_length(points, length: Callable):
+    """The length of the segment spanned by distinct points, 0 for one point.
+
+    The points are the maximizers of a linear form on a wall of a fan or
+    complex that refines the points' own normal fan, so they are
+    collinear; CertificateError when they are not.  Collinear points
+    sort along their line, so the ends come first and last.
+    """
+    if len(points) == 1:
+        return Fraction(0)
+    pts = sorted(points)
+    u = pts[0]
+    if len(pts) > 2 and len(rref_basis([vsub(v, u) for v in pts[1:]])) != 1:
+        raise CertificateError(
+            f"the maximizers {pts} on a wall of a refining fan are not "
+            "collinear")
+    return length(vsub(pts[-1], u))
 
 
 def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:

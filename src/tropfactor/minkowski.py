@@ -19,24 +19,31 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact import (
+    CertificateError,
     TropfactorError,
     dot,
     in_lattice,
     integer_nullspace,
     nonnegative_basis,
     rational_content,
+    sign,
     vsub,
 )
-from .division import NegativeWeight, NotContained, divide, reconstruct_from_fan
-from .polyhedra import Fan, LatticePolytope, dd_cone
+from .division import (
+    NegativeWeight,
+    NotContained,
+    divide,
+    reconstruct_from_fan,
+    segment_length,
+)
+from .polyhedra import Fan, LatticePolytope, dd_cone, normalize_ray
 from .tropical import (
     TropicalPolynomial,
     balance_violation,
     covector,
-    direction_lattice,
     annihilator_lattice,
 )
 
@@ -110,29 +117,61 @@ class WeightVector:
 
 
 class FactorizationBasis:
-    """A non-negative lattice basis of the span of W(N), with its polytopes."""
+    """A non-negative basis of the span of W(N), with its polytopes.
+
+    The rows of matrix() list each vector's weights in the wall order
+    `order`, the sorted wall keys unless given.  `length` measures edges
+    in the metric of the weights: lattice length for rational fans, the
+    primal norm of the root system for Coxeter fans.
+    """
 
     def __init__(self, fan: Fan, vectors: List[WeightVector],
-                 polytopes: List[LatticePolytope]):
+                 polytopes: List[LatticePolytope], order=None,
+                 length: Callable = rational_content):
         self.fan = fan
         self.vectors = vectors
         self.polytopes = polytopes
+        self.order = sorted(fan.walls) if order is None else list(order)
+        self.length = length
 
     @property
     def r(self) -> int:
         return len(self.vectors)
 
     def matrix(self) -> List[tuple]:
-        return [w.values for w in self.vectors]
+        return [tuple(w[k] for k in self.order) for w in self.vectors]
 
 
 # ---------------------------------------------------------------------------
 # extended weights of a polytope on a fan
 
 
-def _face_at(Q: LatticePolytope, y):
-    verts = Q.face_vertices(y)
-    return LatticePolytope(verts)
+def wall_lengths(P: LatticePolytope, fan: Fan, length: Callable,
+                 not_refined) -> Dict:
+    """Wall key -> length of the face of P dual to that wall of the fan.
+
+    The fan must refine the normal fan of P, else not_refined (an error
+    class) is raised: the face of P at an interior point of each chamber
+    must stay on the face in the direction of every generator of the
+    chamber.  Then each wall meets a vertex of P, of length zero, or an
+    edge, measured with length.
+    """
+    if P.n != fan.n:
+        raise ValueError("polytope and fan live in different dimensions")
+    for C in fan.chambers:
+        F = set(P.face_vertices(C.relative_interior_point()))
+        dirs = list(C.rays)
+        for l in C.lineality:
+            dirs.append(l)
+            dirs.append(tuple(-x for x in l))
+        for r in dirs:
+            if not F <= set(P.face_vertices(r)):
+                raise not_refined(
+                    "a chamber of the fan crosses a wall of the polytope's "
+                    "normal fan")
+    return {wk: segment_length(P.face_vertices(W.relative_interior_point()),
+                               length)
+            for wk, W in fan.walls.items()}
 
 
 def extended_weights(Q: LatticePolytope, fan: Fan) -> WeightVector:
@@ -141,30 +180,8 @@ def extended_weights(Q: LatticePolytope, fan: Fan) -> WeightVector:
     Raises NotRefined when some cone of the fan is not contained in a
     single normal cone of Q.
     """
-    for C in fan.chambers:
-        p = C.relative_interior_point()
-        F = set(Q.face_vertices(p))
-        dirs = list(C.rays)
-        for l in C.lineality:
-            dirs.append(l)
-            dirs.append(tuple(-x for x in l))
-        for r in dirs:
-            if not F <= set(Q.face_vertices(r)):
-                raise NotRefined(
-                    "a chamber of the fan crosses a wall of the polytope's "
-                    "normal fan")
-    out = {}
-    for wk, W in fan.walls.items():
-        p = W.relative_interior_point()
-        F = _face_at(Q, p)
-        d = F.dim()
-        assert d <= 1, "refined walls meet faces of dimension at most one"
-        if d == 0:
-            out[wk] = Fraction(0)
-        else:
-            u, v = F.vertices[0], F.vertices[-1]
-            out[wk] = rational_content(vsub(v, u))
-    return WeightVector(fan, out)
+    return WeightVector(fan, wall_lengths(Q, fan, rational_content,
+                                          NotRefined))
 
 
 def polytope_weights(P: LatticePolytope) -> Tuple[Fan, WeightVector]:
@@ -215,7 +232,10 @@ def factor(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     R = LatticePolytope(list(h.essential_terms()))
     if m != 1:
         R = R.scale(Fraction(1, m))
-    assert (Q + R) == P, "factor soundness: Q + R reproduces P exactly"
+    if Q + R != P:
+        raise CertificateError(
+            "Q + R differs from P although the quotient of the support "
+            "functions exists")
     return R
 
 
@@ -299,6 +319,21 @@ def balanced_weight_lattice(fan: Fan) -> Tuple[List[tuple], List]:
     return integer_nullspace(rows), keys
 
 
+def _balanced_cone_rays(lattice: List[tuple], m: int) -> List[tuple]:
+    """Primitive extreme rays of the cone of non-negative balanced weights.
+
+    lattice spans the balanced weights in R^m; the cone is cut out by
+    the m non-negativity constraints in the coordinates of that basis,
+    and its rays are mapped back to weight vectors.
+    """
+    cons = [(tuple(b[i] for b in lattice), False) for i in range(m)]
+    rays, lin = dd_cone(cons, len(lattice))
+    assert not lin, "the non-negativity constraints leave no lineality"
+    return [normalize_ray(tuple(sum(c * b[i] for c, b in zip(ray, lattice))
+                                for i in range(m)))
+            for ray in rays]
+
+
 def weight_cone_basis(fan: Fan) -> FactorizationBasis:
     """A factorization basis for a polytopal fan.
 
@@ -307,17 +342,11 @@ def weight_cone_basis(fan: Fan) -> FactorizationBasis:
     non-negative balanced weights.  NotPolytopal if no strictly positive
     balanced weight vector exists.
     """
-    rows, keys = _phi_matrix(fan)
+    lattice, keys = balanced_weight_lattice(fan)
     m = len(keys)
-    lattice = integer_nullspace(rows) if rows else [
-        tuple(1 if j == i else 0 for j in range(m)) for i in range(m)]
     if not lattice:
         raise NotPolytopal("no nonzero balanced weight vector exists")
-    cons = [(r, True) for r in rows]
-    cons += [(tuple(1 if j == i else 0 for j in range(m)), False)
-             for i in range(m)]
-    rays, lin = dd_cone(cons, m)
-    assert not lin, "the non-negativity constraints leave no lineality"
+    rays = _balanced_cone_rays(lattice, m)
     if not rays:
         raise NotPolytopal("the balanced non-negative cone is trivial")
     witness = tuple(sum(r[i] for r in rays) for i in range(m))
@@ -330,33 +359,54 @@ def weight_cone_basis(fan: Fan) -> FactorizationBasis:
     return FactorizationBasis(fan, weight_vectors, polys)
 
 
+def certify_signed_sum(P: LatticePolytope, y, polytopes) -> tuple:
+    """y, once P + sum(y_i^- B_i) = sum(y_i^+ B_i) holds up to translation.
+
+    This signed Minkowski identity certifies an expansion y of P in a
+    basis with polytopes B_i, and with y = (1, 1) a decomposition
+    P = B_1 + B_2.  CertificateError when y is None (the weights of P
+    were not in the span of the basis) or the identity fails.
+    """
+    if y is None:
+        raise CertificateError(
+            "the wall weights lie outside the span of the basis")
+    lhs, rhs = P, None
+    for yi, B in zip(y, polytopes):
+        s = sign(yi)
+        if not s:
+            continue
+        # k-fold Minkowski sum of a convex polytope is its dilation by k
+        term = B if s * yi == 1 else B.scale(s * yi)
+        if s < 0:
+            lhs = lhs + term
+        else:
+            rhs = term if rhs is None else rhs + term
+    if rhs is None:
+        rhs = LatticePolytope([tuple(Fraction(0) for _ in range(P.n))])
+    if lhs.normalize_translation() != rhs.normalize_translation():
+        raise CertificateError(
+            "the signed Minkowski identity of the expansion fails")
+    return tuple(y)
+
+
 def expand_in_basis(Q: LatticePolytope, basis: FactorizationBasis) -> tuple:
     """The unique integer y with w_Q^ = sum_i y_i b_i over the basis fan.
 
     Verified by the signed Minkowski identity Q + sum(y_i^- B_i) =
     sum(y_i^+ B_i) up to translation.  NotRefined if the basis fan does
-    not refine the normal fan of Q.
+    not refine the normal fan of Q; ValueError if an edge of Q has a
+    non-integer lattice length, since y is then not integral.
     """
     wq = extended_weights(Q, basis.fan)
     vals = []
-    for x in wq.values:
-        q = Fraction(x)
-        assert q.denominator == 1, "lattice polytopes have integer edge weights"
+    for k in basis.order:
+        q = Fraction(wq[k])
+        if q.denominator != 1:
+            raise ValueError(f"an edge of the polytope has lattice length "
+                             f"{q}; only integer lengths expand")
         vals.append(int(q))
-    y = in_lattice([w.values for w in basis.vectors], tuple(vals))
-    assert y is not None, (
-        "extended weights are balanced, so they lie in the basis lattice")
-    lhs = Q
-    rhs = LatticePolytope([tuple(Fraction(0) for _ in range(Q.n))])
-    for yi, B in zip(y, basis.polytopes):
-        # k-fold Minkowski sum of a convex polytope is its dilation by k
-        if yi < 0:
-            lhs = lhs + B.scale(-yi)
-        elif yi > 0:
-            rhs = rhs + B.scale(yi)
-    assert lhs.normalize_translation() == rhs.normalize_translation(), (
-        "the signed Minkowski identity of the expansion holds exactly")
-    return tuple(y)
+    return certify_signed_sum(Q, in_lattice(basis.matrix(), tuple(vals)),
+                              basis.polytopes)
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +450,13 @@ def _embed_from_span(Q: LatticePolytope, B, n: int) -> LatticePolytope:
 def _summand_cone_rays(P: LatticePolytope, max_cones: Optional[int]):
     """Primitive extreme rays of {w balanced on N(P) : w >= 0}, with w_P."""
     fan = P.normal_fan()
-    keys = sorted(fan.walls)
-    m = len(keys)
+    m = len(fan.walls)
     cap = _max_cones(max_cones)
     if m > cap:
         raise TooLarge(f"{m} walls exceed the configured bound of {cap}")
-    rows, keys2 = _phi_matrix(fan)
-    assert keys2 == keys
+    lattice, keys = balanced_weight_lattice(fan)
     wp = tuple(fan.wall_weights[k] for k in keys)
-    cons = [(r, True) for r in rows]
-    cons += [(tuple(1 if j == i else 0 for j in range(m)), False)
-             for i in range(m)]
-    rays, lin = dd_cone(cons, m)
-    assert not lin, "the non-negativity constraints leave no lineality"
-    return fan, keys, wp, rays
+    return fan, keys, wp, _balanced_cone_rays(lattice, m)
 
 
 def is_indecomposable(P: LatticePolytope, max_cones: Optional[int] = None) -> bool:
@@ -444,7 +487,7 @@ def maximal_summand_pairs(P: LatticePolytope,
         for Rq, R2q in maximal_summand_pairs(Q, max_cones):
             R = _embed_from_span(Rq, B, P.n)
             R2 = _embed_from_span(R2q, B, P.n)
-            assert (R + R2).normalize_translation() == P.normalize_translation()
+            certify_signed_sum(P, (1, 1), (R, R2))
             out.append((R, R2))
         return out
     fan, keys, wp, rays = _summand_cone_rays(P, max_cones)
@@ -462,9 +505,7 @@ def maximal_summand_pairs(P: LatticePolytope,
         if key in seen:
             continue
         seen.add(key)
-        total = (R + R2).normalize_translation()
-        assert total == P.normalize_translation(), (
-            "complementary balanced weights reassemble the polytope")
+        certify_signed_sum(P, (1, 1), (R, R2))
         pairs.append((R, R2))
     pairs.sort(key=lambda p: (p[0].vertices, p[1].vertices))
     return pairs

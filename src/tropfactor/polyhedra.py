@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .exact import (
     QuadExt,
@@ -87,7 +87,7 @@ def rref_basis(vectors) -> tuple:
 # double description
 
 
-def _integer_row(a) -> tuple:
+def integer_row(a) -> tuple:
     """Positive integer rescale of a rational row; other rows pass through.
 
     Rescaling a constraint by a positive factor leaves the cone unchanged
@@ -183,7 +183,7 @@ def dd_cone(constraints, n):
         zsets[:] = new_z
 
     for a, eq in constraints:
-        a = _integer_row(a)
+        a = integer_row(a)
         insert(a, eq)
         processed.append(a)
         # dedupe rays by direction (safety; combinations can repeat)
@@ -388,15 +388,6 @@ class Polyhedron:
         ineqs, eqs = self._hrep_min
         return list(ineqs), list(eqs)
 
-    def facets(self):
-        """The facet cells, as polyhedra, paired with their outer normals."""
-        ineqs, eqs = self.minimal_hrep()
-        out = []
-        for a, b in ineqs:
-            F = Polyhedron(self.n, ineqs, eqs + [(a, b)])
-            out.append((F, a))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -443,9 +434,6 @@ class LatticePolytope:
     def contains(self, x) -> bool:
         return self._poly.contains(x)
 
-    def as_polyhedron(self) -> Polyhedron:
-        return self._poly
-
     def translate(self, t) -> "LatticePolytope":
         return LatticePolytope([vadd(v, tuple(t)) for v in self.vertices])
 
@@ -461,8 +449,6 @@ class LatticePolytope:
             raise DimensionMismatch("ambient dimensions differ")
         return LatticePolytope([vadd(u, v) for u in self.vertices
                                 for v in other.vertices])
-
-    minkowski_sum = __add__
 
     def normalize_translation(self) -> "LatticePolytope":
         """Translate so the lexicographically smallest vertex is the origin."""
@@ -532,26 +518,24 @@ class LatticePolytope:
                 faces.add(frozenset(pts))
         return sorted(faces, key=lambda f: sorted(f))
 
-    def edge_weight(self, u, v, gram=None):
-        """Lattice length of the edge u-v, or metric length under gram."""
+    def edge_weight(self, u, v):
+        """Lattice length of the edge u-v.
+
+        An edge whose direction is irrational gets its Euclidean length.
+        """
         d = vsub(v, u)
-        if gram is None and _is_rational_vector(d):
+        if _is_rational_vector(d):
             return rational_content(d)
-        G = gram
-        if G is None:
-            G = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        q = dot(d, tuple(dot(row, d) for row in G))
-        return scalar_sqrt(q)
+        return scalar_sqrt(dot(d, d))
 
     # -- normal fan --------------------------------------------------------
 
-    def normal_fan(self, gram=None) -> "Fan":
+    def normal_fan(self) -> "Fan":
         """The complete normal fan, with edge weights attached to walls.
 
         Chambers are the vertex normal cones N(v) in the max convention.
         Each wall (codimension 1 cone) is dual to an edge and carries the
-        edge's lattice length, or its gram-metric length when a gram matrix
-        is given (the Coxeter case).
+        edge's weight (see edge_weight).
         """
         if self.dim() != self.n:
             raise DegeneratePolytope(
@@ -570,21 +554,13 @@ class LatticePolytope:
             wall = chambers[iu].intersect(
                 Polyhedron(self.n, [], [(vsub(u, v), Fraction(0))]))
             k = wall.key()
-            weights[k] = self.edge_weight(u, v, gram=gram)
+            weights[k] = self.edge_weight(u, v)
             duals[k] = (u, v)
         fan.wall_weights = weights
         fan.wall_duals = duals
         missing = [k for k in fan.walls if k not in weights]
         assert not missing, "every wall of a normal fan is dual to an edge"
         return fan
-
-
-def convex_hull(points) -> LatticePolytope:
-    return LatticePolytope(points)
-
-
-def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
-    return P + Q
 
 
 # ---------------------------------------------------------------------------
@@ -668,22 +644,6 @@ class Fan:
         """ridge key -> list of wall keys containing it."""
         self._compute_cells()
         return self._ridge_star
-
-    def chamber_graph(self):
-        """Adjacency across interior walls: chamber -> [(other, wall key)]."""
-        adj = {i: [] for i in range(len(self.chambers))}
-        for k, sides in self.wall_chambers.items():
-            if len(sides) == 2:
-                (i, _), (j, _) = sides
-                adj[i].append((j, k))
-                adj[j].append((i, k))
-        return adj
-
-    def find_chamber(self, x) -> Optional[int]:
-        for i, C in enumerate(self.chambers):
-            if C.contains(x):
-                return i
-        return None
 
     def refines(self, other: "Fan") -> bool:
         """Is every cone of this fan contained in a cone of the other?"""

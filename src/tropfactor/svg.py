@@ -11,7 +11,7 @@ identical inputs produce identical bytes.
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .division import extend_weights
+from .division import NotContained, extend_weights, variety_containment_witness
 from .exact import QuadExt, TropfactorError
 from .polyhedra import Fan, LatticePolytope
 from .tropical import TropicalPolynomial
@@ -175,7 +175,10 @@ def _draw_walls(cv: _Canvas, segments: Dict, weights: Dict,
 
 def render_polynomial(f: TropicalPolynomial,
                       divisor: Optional[TropicalPolynomial] = None) -> str:
-    """The variety of f; with a divisor g, cells off V(g) are dotted."""
+    """The variety of f; with a divisor g, cells off V(g) are dotted.
+
+    NotContained, with a witness point, when V(g) is not inside V(f).
+    """
     _require_planar(f.n)
     T = f.dual_complex()
     corners = [v for W in T.walls.values() for v in W.vertices] or [(0, 0)]
@@ -183,6 +186,9 @@ def render_polynomial(f: TropicalPolynomial,
     segments = _wall_segments(T.walls, box)
     on_variety = {k: True for k in T.walls}
     if divisor is not None:
+        witness = variety_containment_witness(divisor, f, T)
+        if witness is not None:
+            raise NotContained(witness)
         wup = extend_weights(f, divisor, T)
         on_variety = {k: wup[k] > 0 for k in T.walls}
     cv = _Canvas(box)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exact import (
@@ -32,7 +31,7 @@ from .exact import (
     solve_linear,
     vsub,
 )
-from .polyhedra import LatticePolytope, Polyhedron, rref_basis
+from .polyhedra import LatticePolytope, Polyhedron, integer_row, rref_basis
 
 
 class WeightDomainMismatch(TropfactorError):
@@ -105,9 +104,6 @@ class TropicalPolynomial:
     def from_polytope(cls, P: LatticePolytope) -> "TropicalPolynomial":
         """The support function of P as a tropical polynomial (all coefficients 0)."""
         return cls({v: Fraction(0) for v in P.vertices})
-
-    def newton_polytope(self) -> LatticePolytope:
-        return LatticePolytope(list(self.terms))
 
     # -- essential structure ------------------------------------------------
 
@@ -260,14 +256,12 @@ class TropicalComplex:
             self._wall_sides[k] = [(ia, None), (ib, None)]
         self._ridges = None
         self._ridge_walls = None
-        self._ridge_duals = None
 
     def _compute_ridges(self):
         f = self.f
         index = {a: i for i, a in enumerate(self.chamber_terms)}
         self._ridges = {}
         self._ridge_walls = {}
-        self._ridge_duals = {}
         for face in f.subdivision().two_faces():
             a0 = face[0]
             base = self.chambers[index[a0]]
@@ -276,7 +270,6 @@ class TropicalComplex:
             k = R.key()
             assert R.dim() == self.n - 2, "subdivision 2-faces dualize to ridges"
             self._ridges[k] = R
-            self._ridge_duals[k] = face
             # an edge of the subdivision with both ends in the face is an
             # edge of the face
             members = set(face)
@@ -297,13 +290,6 @@ class TropicalComplex:
         return self._ridge_walls
 
     @property
-    def ridge_duals(self):
-        """ridge key -> the vertex tuple of the dual subdivision 2-face."""
-        if self._ridges is None:
-            self._compute_ridges()
-        return self._ridge_duals
-
-    @property
     def wall_chambers(self):
         return self._wall_sides
 
@@ -312,23 +298,16 @@ class TropicalComplex:
 # balancing
 
 
-def _integer_rows(vectors):
-    """Scale rational vectors to integer vectors spanning the same space."""
-    rows = []
-    for fvec in vectors:
-        den = 1
-        for x in fvec:
-            q = Fraction(x)
-            den = den * q.denominator // gcd(den, q.denominator)
-        rows.append(tuple(int(Fraction(x) * den) for x in fvec))
-    return rows
+def _direction_span(cell: Polyhedron):
+    """Reduced basis of the direction space of a cell's affine span."""
+    verts = cell.vertices
+    return rref_basis([vsub(v, verts[0]) for v in verts[1:]]
+                      + list(cell.rays) + list(cell.lineality))
 
 
 def direction_lattice(cell: Polyhedron):
     """Saturated integer basis of the direction space of a cell's affine span."""
-    verts, rays, lin = cell.vertices, cell.rays, cell.lineality
-    dirs = [vsub(v, verts[0]) for v in verts[1:]] + list(rays) + list(lin)
-    span = rref_basis(dirs)
+    span = _direction_span(cell)
     if not span:
         return []
     funcs = nullspace_field(list(span), ncols=cell.n)
@@ -336,18 +315,16 @@ def direction_lattice(cell: Polyhedron):
         # full-dimensional span: the whole lattice
         return [tuple(1 if j == i else 0 for j in range(cell.n))
                 for i in range(cell.n)]
-    return integer_nullspace(_integer_rows(funcs))
+    return integer_nullspace([integer_row(f) for f in funcs])
 
 
 def annihilator_lattice(cell: Polyhedron):
     """Saturated basis of the integer functionals vanishing on L(cell)."""
-    verts, rays, lin = cell.vertices, cell.rays, cell.lineality
-    dirs = [vsub(v, verts[0]) for v in verts[1:]] + list(rays) + list(lin)
-    span = rref_basis(dirs)
+    span = _direction_span(cell)
     if not span:
         return [tuple(1 if j == i else 0 for j in range(cell.n))
                 for i in range(cell.n)]
-    return integer_nullspace(_integer_rows(span))
+    return integer_nullspace([integer_row(r) for r in span])
 
 
 def covector(tau: Polyhedron, sigma: Polyhedron):

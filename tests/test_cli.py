@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tropfactor
 from tropfactor.cli import main
 from tropfactor.coxeter import (
     build_root_system,
@@ -13,9 +15,18 @@ from tropfactor.coxeter import (
     phi_expand,
     phi_weight_cone_basis,
 )
-from tropfactor.formats import polytope_from_json
-from tropfactor.minkowski import expand_in_basis, weight_cone_basis
+from tropfactor.formats import (
+    decode_vector,
+    polynomial_from_json,
+    polytope_from_json,
+)
+from tropfactor.minkowski import (
+    FactorizationBasis,
+    expand_in_basis,
+    weight_cone_basis,
+)
 from tropfactor.polyhedra import LatticePolytope
+from tropfactor.tropical import TropicalComplex, TropicalPolynomial
 
 F_OBJ = {"dim": 2, "terms": [
     {"exp": [0, 0], "coef": 0}, {"exp": [0, 1], "coef": -7},
@@ -93,7 +104,6 @@ class TestDivide:
         assert len(payload["witness"]["point"]) == 2
 
     def test_failed_certificate_exits_3(self, files, capsys, monkeypatch):
-        from tropfactor.tropical import TropicalPolynomial
         monkeypatch.setattr(TropicalPolynomial, "same_function",
                             lambda self, other: False)
         code, out, err = run(["divide", files["f"], files["g"]], capsys)
@@ -174,6 +184,14 @@ class TestBasisAndExpand:
         code, out, _ = run(["expand", str(steep), files["S"]], capsys)
         assert code == 1
         assert json.loads(out)["error"] == "NotRefined"
+
+    def test_fractional_edge_length_is_an_input_error(self, files, capsys):
+        half = files["root"] / "half.json"
+        half.write_text(json.dumps(
+            {"dim": 2, "vertices": [[0, 0], ["1/2", 0]]}))
+        code, out, err = run(["expand", str(half), files["S"]], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_basis_of_serialized_fan(self, files, capsys):
         from tropfactor.formats import dump_json, weighted_fan_to_json
@@ -303,6 +321,47 @@ class TestCoxeter:
         capsys.readouterr()
 
 
+def dilate_first_polytope(basis):
+    """The basis with its first polytope swapped for twice itself."""
+    polys = [basis.polytopes[0].scale(2)] + list(basis.polytopes[1:])
+    return FactorizationBasis(basis.fan, basis.vectors, polys,
+                              order=basis.order, length=basis.length)
+
+
+class TestCertificates:
+    """A failed certificate exits 3 with a JSON error and no traceback."""
+
+    def check_exit_3(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "CertificateError"
+        assert "Traceback" not in err
+
+    def test_factor(self, files, capsys, monkeypatch):
+        from tropfactor import minkowski
+        real = minkowski.divide
+        shift = TropicalPolynomial({(1, 0): 0})
+        monkeypatch.setattr(minkowski, "divide",
+                            lambda f, g: real(f, g) * shift)
+        self.check_exit_3(["factor", files["S"], files["tri"]], capsys)
+
+    def test_expand(self, files, capsys, monkeypatch):
+        from tropfactor import cli
+        real = cli.weight_cone_basis
+        monkeypatch.setattr(cli, "weight_cone_basis",
+                            lambda fan: dilate_first_polytope(real(fan)))
+        # the octagon has a nonzero first coefficient in its own basis
+        self.check_exit_3(["expand", files["S"], files["S"]], capsys)
+
+    def test_coxeter_expand(self, files, capsys, monkeypatch):
+        from tropfactor import cli
+        real = cli.phi_weight_cone_basis
+        monkeypatch.setattr(cli, "phi_weight_cone_basis",
+                            lambda cf: dilate_first_polytope(real(cf)))
+        self.check_exit_3(["coxeter", "--type", "B2", "--expand",
+                           files["phi_p1"]], capsys)
+
+
 class TestPlot:
     def test_polynomial_with_divisor(self, files, capsys):
         code, out, _ = run(["plot", files["f"],
@@ -325,7 +384,27 @@ class TestPlot:
         code, out, _ = run(["plot", files["f"],
                             "--divisor", files["tent_g"]], capsys)
         assert code == 1
-        assert json.loads(out)["error"] == "NotContained"
+        payload = json.loads(out)
+        assert payload["error"] == "NotContained"
+        # the witness is on V(g) and off V(f)
+        p = decode_vector(payload["witness"]["point"], 2, "witness")
+        f = polynomial_from_json(F_OBJ)
+        g = polynomial_from_json(TENT_G_OBJ)
+        assert len(g.argmax(p)) > 1 and len(f.argmax(p)) == 1
+
+    def test_divisor_plot_builds_one_complex(self, files, capsys,
+                                             monkeypatch):
+        builds = []
+        real = TropicalComplex.__init__
+
+        def counted(self, f):
+            builds.append(f)
+            real(self, f)
+        monkeypatch.setattr(TropicalComplex, "__init__", counted)
+        code, _, _ = run(["plot", files["f"], "--divisor", files["g"]],
+                         capsys)
+        assert code == 0
+        assert len(builds) == 1
 
     def test_divisor_only_for_polynomials(self, files, capsys):
         code, _, err = run(["plot", files["S"],
@@ -350,6 +429,14 @@ class TestSelftest:
 
 
 class TestEntryPoint:
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(path, "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["name"] == "tropfactor"
+        assert project["version"] == tropfactor.__version__
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tropfactor.cli", "wmatrix", "--n", "2",

@@ -15,11 +15,9 @@ import pytest
 from tropfactor.coxeter import (
     CoxeterFan,
     NotAPhiPolytope,
-    PhiBasis,
     PointOnHyperplane,
     UnsupportedType,
     build_root_system,
-    covector_balanced,
     coxeter_fan,
     phi_expand,
     phi_permutahedron,
@@ -29,16 +27,82 @@ from tropfactor.coxeter import (
     root_balanced,
 )
 from tropfactor.division import NotBalanced, reconstruct_from_fan
-from tropfactor.exact import QuadExt, SQRT2, field_rank
-from tropfactor.minkowski import extended_weights, weight_cone_basis
+from tropfactor.exact import (
+    CertificateError,
+    QuadExt,
+    SQRT2,
+    dot,
+    field_rank,
+    solve_linear,
+    vadd,
+    vscale,
+    vsub,
+)
+from tropfactor.minkowski import (
+    FactorizationBasis,
+    extended_weights,
+    weight_cone_basis,
+)
 from tropfactor.permutahedra import canonical_subsets, simplex_polytope, universal_fan
-from tropfactor.polyhedra import LatticePolytope, normalize_ray
-from tropfactor.tropical import balance_violation
+from tropfactor.polyhedra import LatticePolytope, demote_vector, normalize_ray
+from tropfactor.tropical import annihilator_lattice, balance_violation, covector
 
 R2 = SQRT2
 H = QuadExt(0, Fraction(1, 2))  # 1/sqrt(2)
 
 _CACHE = {}
+
+
+# ---------------------------------------------------------------------------
+# the unit-covector form of balancing: an independent reference route for
+# root_balanced, which the library implements through the mirror pairing
+
+
+def covector_balanced(cf: CoxeterFan, w) -> bool:
+    """Balancedness in the unit-covector form, when it stays in the field.
+
+    Around each ridge the covectors of its star are projected onto the
+    orthogonal complement of the ridge span, normalized to unit length
+    and summed with their weights; balance means the sum lies in the
+    ridge span.  Raises ValueError when a covector norm leaves
+    Q(sqrt(2)) (already for A_2, whose ray norms are sqrt(6)); the root
+    form is the exact test in general.
+    """
+    by_key = cf.weight_dict(w)
+    fan, rs = cf.fan, cf.rs
+    for rk in sorted(fan.ridges):
+        tau = fan.ridges[rk]
+        pi = annihilator_lattice(tau)
+        span = _ridge_span(tau)
+        total = None
+        for wk in fan.ridge_walls[rk]:
+            c = covector(tau, fan.walls[wk])
+            c = _gram_perp(rs, c, span)
+            u = demote_vector(x / rs.root_norm(c) for x in c)
+            contrib = vscale(by_key[wk], u)
+            total = contrib if total is None else vadd(total, contrib)
+        if any(dot(p, total) != 0 for p in pi):
+            return False
+    return True
+
+
+def _ridge_span(tau):
+    verts, rays, lin = tau.vertices, tau.rays, tau.lineality
+    dirs = [vsub(v, verts[0]) for v in verts[1:]] + list(rays) + list(lin)
+    return [d for d in dirs if any(d)]
+
+
+def _gram_perp(rs, c, span):
+    """Component of c orthogonal to the span in the dual metric."""
+    if not span:
+        return c
+    gram = [[rs.gdot(a, b) for b in span] for a in span]
+    rhs = [rs.gdot(c, b) for b in span]
+    coeffs = solve_linear(gram, rhs)
+    out = c
+    for t, b in zip(coeffs, span):
+        out = vsub(out, vscale(t, b))
+    return demote_vector(out)
 
 
 def rsys(tag):
@@ -273,7 +337,7 @@ class TestWeightConeBasis:
         cf = cfan("B2")
         basis = phi_weight_cone_basis(cf)
         for v in basis.vectors:
-            assert root_balanced(cf, v)
+            assert root_balanced(cf, v.by_key)
             assert all(x >= 0 for x in cf.weight_values(v))
 
     def test_frozen_rows_span_the_same_space(self):
@@ -303,7 +367,7 @@ class TestWeightConeBasis:
         cf = cfan("B2")
         basis = phi_weight_cone_basis(cf)
         for v, B in zip(basis.vectors, basis.polytopes):
-            assert phi_weights(B, cf) == v
+            assert phi_weights(B, cf) == v.by_key
 
     def test_a2_rank_matches_the_lattice_route(self):
         basis = phi_weight_cone_basis(cfan("A2"))
@@ -455,6 +519,17 @@ class TestPhiExpand:
         basis = phi_weight_cone_basis(cfan("B2"))
         with pytest.raises(NotAPhiPolytope):
             phi_expand(LatticePolytope([(0, 0), (3, 1), (0, 1)]), basis)
+
+    def test_dilated_basis_polytope_fails_the_certificate(self):
+        basis = phi_weight_cone_basis(cfan("B2"))
+        y = phi_expand(P1, basis)
+        i = next(i for i, c in enumerate(y) if c)
+        polys = list(basis.polytopes)
+        polys[i] = polys[i].scale(2)
+        bad = FactorizationBasis(basis.fan, basis.vectors, polys,
+                                 order=basis.order, length=basis.length)
+        with pytest.raises(CertificateError):
+            phi_expand(P1, bad)
 
 
 class TestPhiPermutahedron:

@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from tropfactor.exact import same_lattice
+from tropfactor import minkowski
+from tropfactor.exact import CertificateError, same_lattice
 from tropfactor.minkowski import (
     FactorizationBasis,
     NotASummand,
@@ -13,6 +16,7 @@ from tropfactor.minkowski import (
     TooLarge,
     WeightVector,
     balanced_weight_lattice,
+    certify_signed_sum,
     complete_factorizations,
     expand_in_basis,
     extended_weights,
@@ -26,6 +30,7 @@ from tropfactor.minkowski import (
     weight_cone_basis,
 )
 from tropfactor.polyhedra import Fan, LatticePolytope
+from tropfactor.tropical import TropicalPolynomial
 
 # the octagon with unit edge weights and its eight unit factors
 OCTAGON = [(1, 0), (0, 1), (2, 0), (0, 2), (3, 1), (3, 2), (2, 3), (1, 3)]
@@ -360,3 +365,69 @@ class TestWeightVector:
         fan, w = polytope_weights(P_UF)
         again = WeightVector.from_values(fan, list(w.values))
         assert again.by_key == w.by_key
+
+
+def dilated_basis(basis, i):
+    """The basis with its i-th polytope swapped for twice itself."""
+    polys = list(basis.polytopes)
+    polys[i] = polys[i].scale(2)
+    return FactorizationBasis(basis.fan, basis.vectors, polys,
+                              order=basis.order, length=basis.length)
+
+
+class TestCertificates:
+    """Each soundness certificate raises CertificateError, never asserts."""
+
+    def test_factor_rejects_a_wrong_quotient(self, monkeypatch):
+        real = minkowski.divide
+        shift = TropicalPolynomial({(1, 0): 0})
+        monkeypatch.setattr(minkowski, "divide",
+                            lambda f, g: real(f, g) * shift)
+        with pytest.raises(CertificateError):
+            factor(P_UF, Q_TRI)
+
+    def test_expand_rejects_a_dilated_basis_polytope(self):
+        _, basis = octagon_basis()
+        y = expand_in_basis(P1, basis)
+        i = next(i for i, c in enumerate(y) if c)
+        with pytest.raises(CertificateError):
+            expand_in_basis(P1, dilated_basis(basis, i))
+
+    def test_weights_outside_the_basis_span(self):
+        with pytest.raises(CertificateError):
+            certify_signed_sum(P1, None, [])
+
+    def test_summand_pairs_reject_wrong_reassembly(self, monkeypatch):
+        real = minkowski.reconstruct_from_fan
+        monkeypatch.setattr(minkowski, "reconstruct_from_fan",
+                            lambda fan, w: real(fan, w).scale(2))
+        with pytest.raises(CertificateError):
+            maximal_summand_pairs(P_UF)
+
+    def test_summand_pairs_reject_wrong_embedding(self, monkeypatch):
+        square = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert len(maximal_summand_pairs(square)) == 2
+        real = minkowski._embed_from_span
+        monkeypatch.setattr(minkowski, "_embed_from_span",
+                            lambda Q, B, n: real(Q, B, n).scale(2))
+        with pytest.raises(CertificateError):
+            maximal_summand_pairs(square)
+
+    def test_certificate_survives_stripped_asserts(self):
+        script = (
+            "from tropfactor.exact import CertificateError\n"
+            "from tropfactor.minkowski import FactorizationBasis, "
+            "expand_in_basis, weight_cone_basis\n"
+            "from tropfactor.polyhedra import LatticePolytope\n"
+            f"S = LatticePolytope({OCTAGON!r})\n"
+            "basis = weight_cone_basis(S.normal_fan())\n"
+            "polys = [B.scale(2) for B in basis.polytopes]\n"
+            "bad = FactorizationBasis(basis.fan, basis.vectors, polys)\n"
+            "try:\n"
+            "    expand_in_basis(S, bad)\n"
+            "except CertificateError:\n"
+            "    print('raised')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
