@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Dict
 
 from .exact import (
+    CertificateError,
     TropfactorError,
     dot,
     nullspace_field,
@@ -514,9 +515,13 @@ def phi_permutahedron(rs: RootSystem, x) -> LatticePolytope:
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
-    assert len(seen) == _GROUP_ORDER[rs.tag], (
-        "a generic point has a free orbit")
+    if len(seen) != _GROUP_ORDER[rs.tag]:
+        raise CertificateError(
+            f"the orbit of a generic point has {len(seen)} points, "
+            f"not the group order {_GROUP_ORDER[rs.tag]}")
     P = LatticePolytope(sorted(seen))
-    assert len(P.vertices) == len(seen), (
-        "every orbit point of a generic point is a vertex")
+    if len(P.vertices) != len(seen):
+        raise CertificateError(
+            f"only {len(P.vertices)} of the {len(seen)} orbit points of a "
+            f"generic point are vertices of their hull")
     return P

@@ -214,6 +214,8 @@ def _cone_from_hrep(obj, n: int) -> Polyhedron:
                 'each H-rep row has keys "normal", "rhs" and "eq"')
         a = decode_vector(row["normal"], n, "a normal")
         b = decode_scalar(row.get("rhs", 0))
+        _expect(b == 0, '"rhs" must be 0: every cone of a fan contains '
+                        'the origin')
         (eqs if row.get("eq", False) else ineqs).append((a, b))
     return Polyhedron(n, ineqs, eqs)
 

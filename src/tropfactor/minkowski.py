@@ -327,7 +327,7 @@ def _balanced_cone_rays(lattice: List[tuple], m: int) -> List[tuple]:
     and its rays are mapped back to weight vectors.
     """
     cons = [(tuple(b[i] for b in lattice), False) for i in range(m)]
-    rays, lin = dd_cone(cons, len(lattice))
+    rays, lin, _ = dd_cone(cons, len(lattice))
     assert not lin, "the non-negativity constraints leave no lineality"
     return [normalize_ray(tuple(sum(c * b[i] for c, b in zip(ray, lattice))
                                 for i in range(m)))

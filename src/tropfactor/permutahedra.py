@@ -263,18 +263,12 @@ class WeightMatrix:
         return tuple(r[j] for r in self.rows)
 
 
-def _weight_entry(pi: OrderedPartition, I: tuple) -> int:
-    r = restricts_to(pi, I)
-    if not r:
-        return 0
-    return 1 if len(r.blocks[0]) == 2 else 0
-
-
 def weight_matrix(n: int, cap: int = 6) -> WeightMatrix:
     """The weight matrix of type A_n.  TooLarge above the configured cap.
 
-    Rows are independent of one another; each is computed directly from
-    the restriction rule.
+    By the restriction rule, pi restricts to I with the doubleton in
+    front exactly when the doubleton lies in I and no element of I lies
+    in an earlier block; each entry is that test on bitmasks.
     """
     if n < 1:
         raise TooSmall("the type A_n weight matrix needs n >= 1")
@@ -282,9 +276,15 @@ def weight_matrix(n: int, cap: int = 6) -> WeightMatrix:
         raise TooLarge(f"n = {n} exceeds the configured cap of {cap}")
     partitions = ordered_partitions(range(1, n + 2))
     subsets = canonical_subsets(n)
-    rows = tuple(tuple(_weight_entry(pi, I) for I in subsets)
-                 for pi in partitions)
-    return WeightMatrix(n, partitions, subsets, rows)
+    masks = [sum(1 << i for i in I) for I in subsets]
+    rows = []
+    for pi in partitions:
+        pos = pi.doubleton_position
+        pair = sum(1 << i for i in pi.blocks[pos])
+        before = sum(1 << b[0] for b in pi.blocks[:pos])
+        rows.append(tuple(1 if m & pair == pair and not m & before else 0
+                          for m in masks))
+    return WeightMatrix(n, partitions, subsets, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -69,9 +69,22 @@ def normalize_ray(v) -> tuple:
         raise ValueError("zero vector spans no ray")
     if _is_rational_vector(v):
         return primitive_of_rational(v)
-    c = next(x for x in v if x)
-    c = abs(c)
+    c = abs(next(x for x in v if x))
+    if isinstance(c, int):
+        c = Fraction(c)  # int / int would give a float
     return demote_vector(x / c for x in v)
+
+
+def _scaled_to_normal(a, b) -> tuple:
+    """The row a.x <= b rescaled so that a is normalize_ray(a).
+
+    Facets of different polytopes with the same outer normal direction
+    then have the same normal vector, so support queries can look it up.
+    """
+    u = normalize_ray(a)
+    k = next(i for i, x in enumerate(a) if x)
+    ratio = u[k] / Fraction(a[k]) if isinstance(a[k], int) else u[k] / a[k]
+    return u, _demote(b * ratio)
 
 
 def rref_basis(vectors) -> tuple:
@@ -105,11 +118,13 @@ def integer_row(a) -> tuple:
 
 
 def dd_cone(constraints, n):
-    """Extreme rays and lineality of {x in R^n : a.x >= 0 / a.x = 0}.
+    """Extreme rays, lineality and incidences of {x : a.x >= 0 / a.x = 0}.
 
-    constraints is a sequence of (a, is_equality).  Starts from the whole
-    space and inserts constraints one at a time; adjacency of rays is
-    decided combinatorially from zero sets.  Zero sets are maintained
+    constraints is a sequence of (a, is_equality) with a in R^n.  Returns
+    (rays, lineality, zero_sets), where zero_sets[i] is the frozenset of
+    the indices of the constraints that vanish on rays[i].  Starts from
+    the whole space and inserts constraints one at a time; adjacency of
+    rays is decided combinatorially from zero sets.  Zero sets are maintained
     incrementally: projecting along a lineality generator rescales every
     constraint value by a positive factor, so sign patterns survive, and
     only freshly combined rays need their sets computed from scratch.
@@ -192,7 +207,7 @@ def dd_cone(constraints, n):
             seen.setdefault(r, z)
         rays[:] = list(seen)
         zsets[:] = list(seen.values())
-    return list(rays), rref_basis(lineality)
+    return list(rays), rref_basis(lineality), list(zsets)
 
 
 def cone_to_inequalities(rays, lineality, n):
@@ -203,7 +218,7 @@ def cone_to_inequalities(rays, lineality, n):
     polar cone.
     """
     cons = [(tuple(r), False) for r in rays] + [(tuple(l), True) for l in lineality]
-    polar_rays, polar_lin = dd_cone(cons, n)
+    polar_rays, polar_lin, _ = dd_cone(cons, n)
     return list(polar_rays), list(polar_lin)
 
 
@@ -286,7 +301,7 @@ class Polyhedron:
             cons.append(((b,) + tuple(-x for x in a), False))
         for a, b in self.equalities:
             cons.append(((b,) + tuple(-x for x in a), True))
-        crays, clin = dd_cone(cons, self.n + 1)
+        crays, clin, _ = dd_cone(cons, self.n + 1)
         verts, rays = [], []
         for r in crays:
             t, x = r[0], r[1:]
@@ -399,6 +414,15 @@ class LatticePolytope:
     Vertices are stored sorted, so equal polytopes compare equal.  Despite
     the name, rational and Q(sqrt(2)) vertex coordinates are accepted; edge
     weights fall back from lattice length to metric length in that case.
+
+    Alongside the vertices the polytope keeps its facet inequalities
+    a.x <= b, a basis of the equalities of its affine hull, and for each
+    vertex the bitmask of the facets it lies on.  All three come from one
+    double description of the homogenized points: the facets are its
+    rays, the equalities its lineality, and a point is a vertex exactly
+    when no other point lies on a superset of its facets.  Translation
+    and positive scaling map this data without a hull, and a Minkowski
+    sum takes hulls only of vertices of the sum (see __add__).
     """
 
     def __init__(self, points: Iterable[Sequence]):
@@ -409,13 +433,41 @@ class LatticePolytope:
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise DimensionMismatch("mixed-dimension points")
+        pts = list(dict.fromkeys(pts))
+        rays, lin, zsets = dd_cone([((1,) + p, False) for p in pts], n + 1)
+        ineqs = []
+        on = [0] * len(pts)  # per point: bitmask of the facets it lies on
+        for r, z in zip(rays, zsets):
+            if is_zero_vector(r[1:]):
+                continue  # the inequality t >= 0 itself
+            bit = 1 << len(ineqs)
+            ineqs.append(_scaled_to_normal(tuple(-x for x in r[1:]), r[0]))
+            for i in z:
+                on[i] |= bit
+        verts = sorted((p, m) for i, (p, m) in enumerate(zip(pts, on))
+                       if not any(k != i and mk & m == m
+                                  for k, mk in enumerate(on)))
         self.n = n
-        P = Polyhedron.from_generators(pts, n=n)
-        if P.rays or P.lineality:
-            raise ValueError("point set is unbounded?")
-        self.vertices = tuple(P.vertices)
-        self._poly = P
-        self._facet_cache = None
+        self.vertices = tuple(p for p, _ in verts)
+        self.inequalities = ineqs
+        self.equalities = [(tuple(-x for x in l[1:]), l[0]) for l in lin]
+        self._tight = tuple(m for _, m in verts)
+        self._facet_of = {a: j for j, (a, _) in enumerate(ineqs)}
+
+    def _mapped(self, point, offset) -> "LatticePolytope":
+        """The image under an order-preserving affine map of the points.
+
+        point maps a vertex; offset(a, b) is the new right-hand side of
+        the row a.x <= b (or = b), whose normal a is unchanged.
+        """
+        Q = object.__new__(LatticePolytope)
+        Q.n = self.n
+        Q.vertices = tuple(demote_vector(point(v)) for v in self.vertices)
+        Q.inequalities = [(a, offset(a, b)) for a, b in self.inequalities]
+        Q.equalities = [(a, offset(a, b)) for a, b in self.equalities]
+        Q._tight = self._tight
+        Q._facet_of = self._facet_of
+        return Q
 
     # -- basics ------------------------------------------------------------
 
@@ -429,26 +481,68 @@ class LatticePolytope:
         return f"LatticePolytope({list(self.vertices)!r})"
 
     def dim(self) -> int:
-        return self._poly.dim()
+        return self.n - len(self.equalities)
 
     def contains(self, x) -> bool:
-        return self._poly.contains(x)
+        if len(x) != self.n:
+            raise DimensionMismatch("point has wrong dimension")
+        return (all(dot(a, x) == b for a, b in self.equalities)
+                and all(sign(b - dot(a, x)) >= 0
+                        for a, b in self.inequalities))
 
     def translate(self, t) -> "LatticePolytope":
-        return LatticePolytope([vadd(v, tuple(t)) for v in self.vertices])
+        t = tuple(t)
+        return self._mapped(lambda v: vadd(v, t), lambda a, b: b + dot(a, t))
 
     def scale(self, c) -> "LatticePolytope":
         if sign(c) < 0:
             raise ValueError("negative scaling factor")
         if sign(c) == 0:
             return LatticePolytope([tuple(Fraction(0) for _ in range(self.n))])
-        return LatticePolytope([tuple(c * x for x in v) for v in self.vertices])
+        return self._mapped(lambda v: tuple(c * x for x in v),
+                            lambda a, b: c * b)
 
     def __add__(self, other: "LatticePolytope") -> "LatticePolytope":
+        """The Minkowski sum, from its vertices found by support queries.
+
+        For every direction y, the lexicographically smallest and largest
+        points of the face of P + Q maximizing y are the sums of those of
+        P and of Q, hence vertices of P + Q.  Seeded with the facet and
+        equality normals of both summands, the hull of such vertices is
+        grown until each of its facet and equality rows a.x <= b has
+        b = h_P(a) + h_Q(a); the hull then equals P + Q.
+        """
         if self.n != other.n:
             raise DimensionMismatch("ambient dimensions differ")
-        return LatticePolytope([vadd(u, v) for u in self.vertices
-                                for v in other.vertices])
+        if len(other.vertices) == 1:
+            return self.translate(other.vertices[0])
+        if len(self.vertices) == 1:
+            return other.translate(self.vertices[0])
+        top = {}  # direction -> (h_P + h_Q, both extreme vertices of the sum)
+
+        def query(y):
+            if y not in top:
+                hp, p0, p1 = self._face_extremes(y)
+                hq, q0, q1 = other._face_extremes(y)
+                top[y] = (hp + hq, {vadd(p0, q0), vadd(p1, q1)})
+            return top[y]
+
+        dirs = [a for a, _ in self.inequalities + other.inequalities]
+        for a, _ in self.equalities + other.equalities:
+            dirs += [a, tuple(-x for x in a)]
+        seeds = set().union(*(query(y)[1] for y in dirs))
+        while True:
+            S = LatticePolytope(sorted(seeds))
+            rows = S.inequalities + S.equalities + [
+                (tuple(-x for x in a), -b) for a, b in S.equalities]
+            missing = set()
+            for a, b in rows:
+                h, found = query(a)
+                if h != b:
+                    missing |= found
+            if not missing:
+                return S
+            seeds |= missing
 
     def normalize_translation(self) -> "LatticePolytope":
         """Translate so the lexicographically smallest vertex is the origin."""
@@ -459,6 +553,25 @@ class LatticePolytope:
     def support(self, y):
         return max(dot(y, v) for v in self.vertices)
 
+    def _face_extremes(self, y):
+        """(h(y), the lexicographically first and last vertex attaining it).
+
+        Read off the incidences when y is a facet normal, else by dot
+        products.
+        """
+        j = self._facet_of.get(y)
+        if j is not None:
+            on = [v for v, m in zip(self.vertices, self._tight) if m >> j & 1]
+            return self.inequalities[j][1], on[0], on[-1]
+        h = first = last = None
+        for v in self.vertices:  # ascending, so maximizers come in lex order
+            s = dot(y, v)
+            if h is None or s > h:
+                h, first, last = s, v, v
+            elif s == h:
+                last = v
+        return h, first, last
+
     def face_vertices(self, y):
         """Vertices of the face of P in direction y (the argmax face)."""
         vals = [dot(y, v) for v in self.vertices]
@@ -467,29 +580,21 @@ class LatticePolytope:
 
     # -- face structure ----------------------------------------------------
 
-    def _facet_data(self):
-        if self._facet_cache is None:
-            ineqs, _ = self._poly.minimal_hrep()
-            tight = []
-            for v in self.vertices:
-                tight.append(frozenset(i for i, (a, b) in enumerate(ineqs)
-                                       if dot(a, v) == b))
-            self._facet_cache = (ineqs, tight)
-        return self._facet_cache
+    def _face_members(self, t):
+        """Indices of the vertices on every facet of the bitmask t."""
+        return [k for k, m in enumerate(self._tight) if m & t == t]
+
+    def _edge_index(self):
+        """(i, j, facets on both) for the vertex index pairs of the edges."""
+        tight = self._tight
+        return [(i, j, tight[i] & tight[j])
+                for i, j in itertools.combinations(range(len(tight)), 2)
+                if self._face_members(tight[i] & tight[j]) == [i, j]]
 
     def edges(self):
         """Vertex pairs (u, v) forming the 1-faces."""
-        if len(self.vertices) == 1:
-            return []
-        _, tight = self._facet_data()
-        verts = self.vertices
-        out = []
-        for i, j in itertools.combinations(range(len(verts)), 2):
-            t = tight[i] & tight[j]
-            members = [k for k in range(len(verts)) if tight[k] >= t]
-            if members == [i, j] or set(members) == {i, j}:
-                out.append((verts[i], verts[j]))
-        return out
+        return [(self.vertices[i], self.vertices[j])
+                for i, j, _ in self._edge_index()]
 
     def two_faces(self):
         """Vertex sets of the 2-faces."""
@@ -498,21 +603,12 @@ class LatticePolytope:
             return []
         if d == 2:
             return [frozenset(self.vertices)]
-        _, tight = self._facet_data()
-        verts = self.vertices
-        edge_ix = []
-        for i, j in itertools.combinations(range(len(verts)), 2):
-            t = tight[i] & tight[j]
-            members = frozenset(k for k in range(len(verts)) if tight[k] >= t)
-            if members == {i, j}:
-                edge_ix.append((i, j, t))
         faces = set()
-        for (i1, j1, t1), (i2, j2, t2) in itertools.combinations(edge_ix, 2):
+        for (i1, j1, t1), (i2, j2, t2) in itertools.combinations(
+                self._edge_index(), 2):
             if not {i1, j1} & {i2, j2}:
                 continue
-            t = t1 & t2
-            members = [k for k in range(len(verts)) if tight[k] >= t]
-            pts = [verts[k] for k in members]
+            pts = [self.vertices[k] for k in self._face_members(t1 & t2)]
             diffs = [vsub(p, pts[0]) for p in pts[1:]]
             if len(rref_basis(diffs)) == 2:
                 faces.add(frozenset(pts))

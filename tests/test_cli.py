@@ -206,6 +206,18 @@ class TestBasisAndExpand:
         assert code == 2
         assert json.loads(err)["error"] == "SchemaError"
 
+    def test_cone_with_nonzero_rhs_is_rejected(self, files, capsys):
+        fan_file = files["root"] / "affine_fan.json"
+        fan_file.write_text(json.dumps({"dim": 2, "cones": [
+            [{"normal": [1, 0], "rhs": 1, "eq": False},
+             {"normal": [0, 1], "rhs": 0, "eq": False}],
+            [{"normal": [-1, 0], "rhs": 0, "eq": False}]]}))
+        code, out, err = run(["basis", str(fan_file)], capsys)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError"
+        assert '"rhs"' in payload["message"]
+
 
 class TestDefcone:
     def test_inside_with_polytope(self, files, capsys):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropfactor import coxeter
 from tropfactor.coxeter import (
     CoxeterFan,
     NotAPhiPolytope,
@@ -558,6 +559,13 @@ class TestPhiPermutahedron:
     def test_a2_orbit_has_group_order_vertices(self):
         P = phi_permutahedron(rsys("A2"), (5, 2))
         assert len(P.vertices) == 6
+
+    def test_orbit_point_missing_from_the_hull_fails(self, monkeypatch):
+        # a hull that loses an orbit point must not pass as the polytope
+        monkeypatch.setattr(coxeter, "LatticePolytope",
+                            lambda pts: LatticePolytope(list(pts)[1:]))
+        with pytest.raises(CertificateError, match="vertices"):
+            phi_permutahedron(rsys("B2"), (3, 1))
 
     def test_mirror_points_are_rejected(self):
         with pytest.raises(PointOnHyperplane):

@@ -239,6 +239,17 @@ class TestWeightMatrixInvariants:
         W = weight_matrix(3)
         assert all(any(row) for row in W.rows)
 
+    def test_rows_match_the_restriction_route(self):
+        # the entry is 1 iff pi restricts to I with the doubleton in front
+        for n in range(1, 6):
+            W = weight_matrix(n)
+            for pi, row in zip(W.partitions, W.rows):
+                expected = []
+                for I in W.subsets:
+                    r = restricts_to(pi, I)
+                    expected.append(1 if r and len(r.blocks[0]) == 2 else 0)
+                assert row == tuple(expected)
+
 
 class TestUniversalFan:
     def test_a2_fan_has_six_labeled_walls(self):

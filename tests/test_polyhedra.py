@@ -4,7 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from tropfactor.exact import QuadExt, SQRT2, dot, field_rank, solve_linear, vsub
+from tropfactor import polyhedra
+from tropfactor.coxeter import (
+    build_root_system,
+    coxeter_fan,
+    phi_permutahedron,
+    phi_weight_cone_basis,
+    reconstruct_phi,
+)
+from tropfactor.exact import (
+    QuadExt,
+    SQRT2,
+    dot,
+    field_rank,
+    solve_linear,
+    vadd,
+    vsub,
+)
 from tropfactor.polyhedra import (
     DegeneratePolytope,
     DimensionMismatch,
@@ -12,6 +28,7 @@ from tropfactor.polyhedra import (
     LatticePolytope,
     Polyhedron,
     normalize_ray,
+    rref_basis,
 )
 
 
@@ -269,3 +286,166 @@ class TestFanOneDim:
         (k,) = fan.walls
         assert len(fan.wall_chambers[k]) == 2
         assert fan.ridges == {}
+
+
+# ---------------------------------------------------------------------------
+# LatticePolytope against the all-pairs two-DD reference
+
+
+def reference_hull(points):
+    """The brute-force route: one DD from the points to the facets, then a
+    second DD from the facets back to the vertices."""
+    return Polyhedron.from_generators([tuple(p) for p in points])
+
+
+def reference_sum(P, Q):
+    return reference_hull([vadd(u, v) for u in P.vertices
+                           for v in Q.vertices])
+
+
+def assert_matches(L, R):
+    """L (a LatticePolytope) and R (a Polyhedron) are the same polytope,
+    with the same facets and affine hull, and L's incidences are right."""
+    assert L.vertices == tuple(R.vertices)
+    assert L.dim() == R.dim()
+    ineqs, eqs = R.minimal_hrep()
+    assert (rref_basis([a + (b,) for a, b in L.equalities])
+            == rref_basis([a + (b,) for a, b in eqs]))
+
+    def facet_vertex_sets(rows):
+        return sorted(tuple(v for v in L.vertices if dot(a, v) == b)
+                      for a, b in rows)
+
+    assert facet_vertex_sets(L.inequalities) == facet_vertex_sets(ineqs)
+    if L.dim() == L.n:
+        # facet rows are unique up to positive scaling; normalize_ray maps
+        # a rational direction with an irrational scale to a rational but
+        # not primitive vector, which a second pass makes primitive
+        def key(a, b):
+            return normalize_ray(normalize_ray(a + (b,)))
+
+        assert ({key(a, b) for a, b in L.inequalities}
+                == {key(a, b) for a, b in ineqs})
+    for v, mask in zip(L.vertices, L._tight):
+        assert L.contains(v)
+        assert mask == sum(1 << j for j, (a, b) in enumerate(L.inequalities)
+                           if dot(a, v) == b)
+
+
+def _random_points(rng, n):
+    kind = rng.choice(["general", "general", "single", "segment", "flat"])
+    k = {"single": 1, "segment": 2}.get(kind, rng.randint(2, 7))
+    if kind == "segment":
+        k = rng.randint(2, 4)  # with points inside the segment
+
+    def coord():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+
+    if kind == "segment":
+        p, d = [coord() for _ in range(n)], [coord() for _ in range(n)]
+        pts = [tuple(x + Fraction(rng.randint(0, 3)) * y
+                     for x, y in zip(p, d)) for _ in range(k)]
+    elif kind == "flat" and n == 3:
+        # on the plane x + y + z = 1
+        pts = []
+        for _ in range(k):
+            x, y = coord(), coord()
+            pts.append((x, y, 1 - x - y))
+    else:
+        pts = [tuple(coord() for _ in range(n)) for _ in range(k)]
+    return pts + rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
+
+
+def _random_sqrt2_points(rng, n):
+    def coord():
+        return QuadExt(rng.randint(-2, 2), rng.randint(-1, 1))
+
+    pts = [tuple(coord() for _ in range(n)) for _ in range(rng.randint(1, 4))]
+    return pts + pts[:1]
+
+
+class TestPolytopeArithmeticAgainstReference:
+    def check_operations(self, pts_p, pts_q, t, c):
+        P, Q = LatticePolytope(pts_p), LatticePolytope(pts_q)
+        assert_matches(P, reference_hull(pts_p))
+        assert_matches(Q, reference_hull(pts_q))
+        assert_matches(P + Q, reference_sum(P, Q))
+        assert_matches(P.translate(t), reference_hull(
+            [vadd(v, t) for v in P.vertices]))
+        assert_matches(P.scale(c), reference_hull(
+            [tuple(c * x for x in v) for v in P.vertices]))
+        N = P.normalize_translation()
+        assert_matches(N, reference_hull(
+            [vsub(v, P.vertices[0]) for v in P.vertices]))
+        # sums of mapped polytopes and sums of sums
+        S = P.translate(t) + Q.scale(c)
+        assert_matches(S, reference_sum(P.translate(t), Q.scale(c)))
+        assert_matches(S + Q, reference_sum(S, Q))
+
+    def test_random_rational_polytopes(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.choice([1, 2, 3])
+            t = tuple(Fraction(rng.randint(-5, 5), rng.choice([1, 2]))
+                      for _ in range(n))
+            c = rng.choice([2, Fraction(1, 3), Fraction(5, 2)])
+            self.check_operations(_random_points(rng, n),
+                                  _random_points(rng, n), t, c)
+
+    def test_random_sqrt2_polytopes(self):
+        rng = random.Random(5)
+        for _ in range(12):
+            n = rng.choice([2, 3])
+            t = tuple(QuadExt(rng.randint(-2, 2), rng.randint(-2, 2))
+                      for _ in range(n))
+            self.check_operations(_random_sqrt2_points(rng, n),
+                                  _random_sqrt2_points(rng, n), t, SQRT2)
+
+    def test_b2_orbit_and_basis_polytopes(self):
+        rs = build_root_system("B2")
+        basis = phi_weight_cone_basis(coxeter_fan(rs))
+        orbit = phi_permutahedron(rs, (3, 1))
+        polys = [orbit] + list(basis.polytopes)
+        for P, Q in zip(polys, polys[1:] + polys[:1]):
+            self.check_operations(list(P.vertices), list(Q.vertices),
+                                  (SQRT2, Fraction(1, 2)), SQRT2)
+
+
+class TestHullWork:
+    """Translation and positive scaling map known data; a hull is one DD."""
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+        original = polyhedra.dd_cone
+
+        def counted(constraints, n):
+            calls.append(n)
+            return original(constraints, n)
+
+        monkeypatch.setattr(polyhedra, "dd_cone", counted)
+        return calls
+
+    def test_a_hull_is_one_dd(self, dd_calls):
+        LatticePolytope(OCTAGON + [(1, 1), (2, 2)])
+        assert len(dd_calls) == 1
+
+    def test_maps_and_one_point_sums_take_no_dd(self, dd_calls):
+        P = LatticePolytope(OCTAGON)
+        point = LatticePolytope([(3, Fraction(1, 2))])
+        del dd_calls[:]
+        P.translate((1, -2))
+        P.scale(3)
+        P.scale(Fraction(2, 3))
+        P.normalize_translation()
+        P + point
+        point + P
+        assert dd_calls == []
+
+    def test_reconstruct_phi_on_a3_is_one_dd(self, dd_calls):
+        cf = coxeter_fan(build_root_system("A3"))
+        cf.fan.wall_chambers  # derive the fan's cells first
+        del dd_calls[:]
+        P = reconstruct_phi(cf, (1,) * len(cf.wall_order))
+        assert len(P.vertices) == 24
+        assert len(dd_calls) == 1
