@@ -23,6 +23,7 @@ exactly the balancing condition, so unbalanced input raises NotBalanced.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Optional
 
@@ -80,29 +81,45 @@ def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
     point p of D; a tie there makes p the witness.  Otherwise b must stay
     maximal on the generators of D: at each vertex w, on the segment from
     p to w, and for all t >= 0 along each ray and each +/- lineality
-    direction u.  If some term overtakes b along p + t*u within that
-    range, the first tie point is in V(g) and still interior to D, since
-    it lies strictly before the vertex or on an unbounded direction.
-    Tf may pass a prebuilt f.dual_complex().
+    direction u.  That holds iff v_b + b.w = g(w) at each vertex and
+    b.u = max_c c.u along each direction; both values are cached, since
+    neighbouring chambers share generators.  At the first step where
+    this fails, a term overtakes b along p + t*u within that range, and
+    the first tie point is the witness: it is in V(g) and still interior
+    to D, since it lies strictly before the vertex or on an unbounded
+    direction.  Tf may pass a prebuilt f.dual_complex().
     """
     if g.n != f.n:
         raise ValueError("ambient dimensions differ")
     if Tf is None:
         Tf = f.dual_complex()
+    value, top = {}, {}
+
+    def g_at(w):
+        if w not in value:
+            value[w] = g(w)
+        return value[w]
+
+    def g_top(u):
+        if u not in top:
+            top[u] = max(dot(c, u) for c in g.terms)
+        return top[u]
+
     for D in Tf.chambers:
         p = D.relative_interior_point()
         arg = g.argmax(p)
         if len(arg) > 1:
             return p
         b = arg[0]
-        steps = [(vsub(w, p), 1) for w in D.vertices]
-        steps += [(u, None) for u in D.rays]
-        steps += [(u, None) for l in D.lineality
-                  for u in (l, tuple(-x for x in l))]
-        for u, limit in steps:
-            t = _first_tie(g, b, p, u)
-            if t is not None and (limit is None or t < limit):
-                return tuple(x + t * y for x, y in zip(p, u))
+        vb = g.terms[b]
+        dirs = list(D.rays) + [u for l in D.lineality
+                               for u in (l, tuple(-x for x in l))]
+        bad = next(itertools.chain(
+            (vsub(w, p) for w in D.vertices if vb + dot(b, w) != g_at(w)),
+            (u for u in dirs if dot(b, u) != g_top(u))), None)
+        if bad is not None:
+            t = _first_tie(g, b, p, bad)
+            return tuple(x + t * y for x, y in zip(p, bad))
     return None
 
 

@@ -216,7 +216,9 @@ def _cone_from_hrep(obj, n: int) -> Polyhedron:
         b = decode_scalar(row.get("rhs", 0))
         _expect(b == 0, '"rhs" must be 0: every cone of a fan contains '
                         'the origin')
-        (eqs if row.get("eq", False) else ineqs).append((a, b))
+        eq = row.get("eq", False)
+        _expect(isinstance(eq, bool), '"eq" must be true or false')
+        (eqs if eq else ineqs).append((a, b))
     return Polyhedron(n, ineqs, eqs)
 
 

@@ -72,7 +72,9 @@ def normalize_ray(v) -> tuple:
     c = abs(next(x for x in v if x))
     if isinstance(c, int):
         c = Fraction(c)  # int / int would give a float
-    return demote_vector(x / c for x in v)
+    u = demote_vector(x / c for x in v)
+    # a rational direction with an irrational scale gets the primitive form
+    return primitive_of_rational(u) if _is_rational_vector(u) else u
 
 
 def _scaled_to_normal(a, b) -> tuple:
@@ -124,20 +126,20 @@ def dd_cone(constraints, n):
     (rays, lineality, zero_sets), where zero_sets[i] is the frozenset of
     the indices of the constraints that vanish on rays[i].  Starts from
     the whole space and inserts constraints one at a time; adjacency of
-    rays is decided combinatorially from zero sets.  Zero sets are maintained
-    incrementally: projecting along a lineality generator rescales every
-    constraint value by a positive factor, so sign patterns survive, and
-    only freshly combined rays need their sets computed from scratch.
+    rays is decided combinatorially from zero sets.  Zero sets are never
+    recomputed from the rows: projecting along a lineality generator
+    rescales every processed row value by a positive factor, so sign
+    patterns survive, and a combined ray is a positive combination of two
+    rays that satisfy every processed row, so it vanishes on exactly the
+    rows both parents vanish on (Fukuda-Prodon 1996).
     """
     lineality = [tuple(1 if j == i else 0 for j in range(n))
                  for i in range(n)]
     rays = []      # normalized ray representatives
     zsets = []     # per ray: indices of processed constraints it annihilates
-    processed = [] # constraint rows seen so far
 
-    def insert(a, equality):
+    def insert(m, a, equality):
         nonlocal rays, zsets, lineality
-        m = len(processed)
         hot = next((l for l in lineality if dot(a, l)), None)
         if hot is not None:
             # lineality escapes the hyperplane: split off one generator
@@ -190,17 +192,13 @@ def dd_cone(constraints, n):
                      tuple(vals[j] * x for x in rays[i]))
             if is_zero_vector(r):
                 continue
-            r = normalize_ray(r)
-            z = frozenset(k for k in range(m) if not dot(processed[k], r))
-            new.append(r)
-            new_z.append(z | {m})
+            new.append(normalize_ray(r))
+            new_z.append(t | {m})
         rays[:] = new
         zsets[:] = new_z
 
-    for a, eq in constraints:
-        a = integer_row(a)
-        insert(a, eq)
-        processed.append(a)
+    for m, (a, eq) in enumerate(constraints):
+        insert(m, integer_row(a), eq)
         # dedupe rays by direction (safety; combinations can repeat)
         seen = {}
         for r, z in zip(rays, zsets):
@@ -208,6 +206,30 @@ def dd_cone(constraints, n):
         rays[:] = list(seen)
         zsets[:] = list(seen.values())
     return list(rays), rref_basis(lineality), list(zsets)
+
+
+def point_hull(points):
+    """(facet rows, affine-hull equalities, facet bitmasks) of conv(points).
+
+    One double description of the homogenized points: the facets a.x <= b
+    are its rays, each scaled so that a is in normalize_ray form, the
+    equalities a.x = b its lineality, and bit j of the i-th bitmask is set
+    when points[i] lies on facet j (read off the zero sets).
+    """
+    n = len(points[0])
+    rays, lin, zsets = dd_cone([((1,) + tuple(p), False) for p in points],
+                               n + 1)
+    ineqs = []
+    on = [0] * len(points)
+    for r, z in zip(rays, zsets):
+        if is_zero_vector(r[1:]):
+            continue  # the inequality t >= 0 itself
+        bit = 1 << len(ineqs)
+        ineqs.append(_scaled_to_normal(tuple(-x for x in r[1:]), r[0]))
+        for i in z:
+            on[i] |= bit
+    eqs = [(tuple(-x for x in l[1:]), l[0]) for l in lin]
+    return ineqs, eqs, on
 
 
 def cone_to_inequalities(rays, lineality, n):
@@ -287,9 +309,27 @@ class Polyhedron:
         return Polyhedron(self.n, self.inequalities + other.inequalities,
                           self.equalities + other.equalities)
 
-    def with_equality(self, a, b) -> "Polyhedron":
-        return Polyhedron(self.n, self.inequalities,
-                          self.equalities + [(tuple(a), b)])
+    def face(self, rows) -> "Polyhedron":
+        """The face where each valid row a.x <= b of rows holds with equality.
+
+        Its generators are the vertices, rays and lineality of this
+        polyhedron that are tight on every row, so no double description
+        runs; they are the ones the double description of the face would
+        return when the rows are among this polyhedron's own inequalities.
+        ValueError when a row is not valid: a vertex with a.v > b, a ray
+        with a.r > 0 or a lineality generator with a.l != 0.
+        """
+        rows = [(tuple(a), b) for a, b in rows]
+        F = Polyhedron(self.n, self.inequalities, self.equalities + rows)
+        verts, rays, lin = self._compute_vrep()
+        gaps = [[sign(dot(a, v) - b) for a, b in rows] for v in verts]
+        slopes = [[sign(dot(a, r)) for a, _ in rows] for r in rays]
+        if (any(s > 0 for g in gaps + slopes for s in g)
+                or any(dot(a, l) for a, _ in rows for l in lin)):
+            raise ValueError(f"the rows {rows} are not valid on the polyhedron")
+        F._vrep = ([v for v, g in zip(verts, gaps) if not any(g)],
+                   [r for r, g in zip(rays, slopes) if not any(g)], lin)
+        return F
 
     # -- V-representation --------------------------------------------------
 
@@ -417,9 +457,8 @@ class LatticePolytope:
 
     Alongside the vertices the polytope keeps its facet inequalities
     a.x <= b, a basis of the equalities of its affine hull, and for each
-    vertex the bitmask of the facets it lies on.  All three come from one
-    double description of the homogenized points: the facets are its
-    rays, the equalities its lineality, and a point is a vertex exactly
+    vertex the bitmask of the facets it lies on.  All three come from the
+    one double description of point_hull, and a point is a vertex exactly
     when no other point lies on a superset of its facets.  Translation
     and positive scaling map this data without a hull, and a Minkowski
     sum takes hulls only of vertices of the sum (see __add__).
@@ -434,23 +473,14 @@ class LatticePolytope:
         if any(len(p) != n for p in pts):
             raise DimensionMismatch("mixed-dimension points")
         pts = list(dict.fromkeys(pts))
-        rays, lin, zsets = dd_cone([((1,) + p, False) for p in pts], n + 1)
-        ineqs = []
-        on = [0] * len(pts)  # per point: bitmask of the facets it lies on
-        for r, z in zip(rays, zsets):
-            if is_zero_vector(r[1:]):
-                continue  # the inequality t >= 0 itself
-            bit = 1 << len(ineqs)
-            ineqs.append(_scaled_to_normal(tuple(-x for x in r[1:]), r[0]))
-            for i in z:
-                on[i] |= bit
+        ineqs, eqs, on = point_hull(pts)
         verts = sorted((p, m) for i, (p, m) in enumerate(zip(pts, on))
                        if not any(k != i and mk & m == m
                                   for k, mk in enumerate(on)))
         self.n = n
         self.vertices = tuple(p for p, _ in verts)
         self.inequalities = ineqs
-        self.equalities = [(tuple(-x for x in l[1:]), l[0]) for l in lin]
+        self.equalities = eqs
         self._tight = tuple(m for _, m in verts)
         self._facet_of = {a: j for j, (a, _) in enumerate(ineqs)}
 
@@ -646,10 +676,7 @@ class LatticePolytope:
         duals = {}
         for (u, v) in self.edges():
             iu = self.vertices.index(u)
-            iv = self.vertices.index(v)
-            wall = chambers[iu].intersect(
-                Polyhedron(self.n, [], [(vsub(u, v), Fraction(0))]))
-            k = wall.key()
+            k = chambers[iu].face([(vsub(v, u), Fraction(0))]).key()
             weights[k] = self.edge_weight(u, v)
             duals[k] = (u, v)
         fan.wall_weights = weights
@@ -685,28 +712,38 @@ class Fan:
         self.wall_duals = None
 
     def _compute_cells(self):
+        """Walls and ridges as faces of the chambers, with no hull per cell.
+
+        A wall is the face of a chamber on one of its facet rows.  Its own
+        facets, the ridges, are the faces on that row and one other facet
+        row of the same chamber that have dimension n - 2.
+        """
         if self._walls is not None:
             return
         walls = {}
         wall_sides = {}
+        found = {}  # wall key -> (chamber, its facet row giving the wall)
         for ci, C in enumerate(self.chambers):
-            ineqs, eqs = C.minimal_hrep()
+            ineqs, _ = C.minimal_hrep()
             for a, b in ineqs:
                 assert not b, "fan cones must be homogeneous"
-                W = Polyhedron(self.n, ineqs, eqs + [(a, b)])
+                W = C.face([(a, b)])
                 k = W.key()
                 if k not in walls:
                     walls[k] = W
                     wall_sides[k] = []
+                    found[k] = (C, (a, b))
                 inward = tuple(-x for x in a)
                 wall_sides[k].append((ci, inward))
         ridges = {}
         ridge_star = {}
-        for wk, W in walls.items():
-            ineqs, eqs = W.minimal_hrep()
-            for a, b in ineqs:
-                R = Polyhedron(self.n, ineqs, eqs + [(a, b)])
-                if R.is_empty() or R.dim() != self.n - 2:
+        for wk in walls:
+            C, row = found[wk]
+            for other in C.minimal_hrep()[0]:
+                if other == row:
+                    continue
+                R = C.face([row, other])
+                if R.dim() != self.n - 2:
                     continue
                 k = R.key()
                 if k not in ridges:

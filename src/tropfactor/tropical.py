@@ -31,7 +31,13 @@ from .exact import (
     solve_linear,
     vsub,
 )
-from .polyhedra import LatticePolytope, Polyhedron, integer_row, rref_basis
+from .polyhedra import (
+    LatticePolytope,
+    Polyhedron,
+    integer_row,
+    point_hull,
+    rref_basis,
+)
 
 
 class WeightDomainMismatch(TropfactorError):
@@ -134,41 +140,41 @@ class RegularSubdivision:
     interior or boundary of a cell are kept visible.
 
     Every face of the subdivision is read off the one lifted hull through
-    facet incidences: tight[i] is the set of hull facets the i-th lifted
-    point lies on.  A face is the set of points tight on a set T of facets;
-    it belongs to the subdivision when T contains an upper facet.  When
-    the lift is affine (or there is a single term) the whole lifted
-    polytope is the one cell, recorded as an extra upper facet every point
-    is tight on.
+    facet incidences: tight[i] is the bitmask of the hull facets the i-th
+    lifted point lies on, as point_hull returns it.  A face is the set of
+    points tight on a set T of facets; it belongs to the subdivision when
+    T contains an upper facet (a bit of the mask upper).  When the lift is
+    affine (or there is a single term) the whole lifted polytope is the
+    one cell, recorded as an extra upper facet every point is tight on.
     """
 
     def __init__(self, f: TropicalPolynomial):
         # no reference back to f: f caches its subdivision
         self.points = list(f.terms)
         lifted = [a + (v,) for a, v in f.terms.items()]
-        ineqs, eqs = [], []
+        ineqs, eqs, self.tight = [], [], [0]
         if len(lifted) > 1:
-            ineqs, eqs = Polyhedron.from_generators(lifted).minimal_hrep()
-        self.tight = [frozenset(i for i, (a, b) in enumerate(ineqs)
-                                if dot(a, p) == b) for p in lifted]
+            ineqs, eqs, self.tight = point_hull(lifted)
         if len(lifted) == 1 or any(a[-1] for a, _ in eqs):
             # the lift is affine over the Newton polytope: trivial subdivision
-            whole = len(ineqs)
-            self.tight = [t | {whole} for t in self.tight]
-            self.upper = frozenset((whole,))
+            whole = 1 << len(ineqs)
+            self.tight = [t | whole for t in self.tight]
+            self.upper = whole
+            facets = [whole]
         else:
-            self.upper = frozenset(i for i, (a, _) in enumerate(ineqs)
-                                   if sign(a[-1]) > 0)
+            facets = [1 << i for i, (a, _) in enumerate(ineqs)
+                      if sign(a[-1]) > 0]
+            self.upper = sum(facets)
             assert self.upper, (
                 "an upper facet exists whenever the lift is not affine")
         self.cells = sorted(
-            tuple(p for p, t in zip(self.points, self.tight) if i in t)
-            for i in self.upper)
+            tuple(p for p, t in zip(self.points, self.tight) if t & bit)
+            for bit in facets)
         self._vertices = None
 
     def _face(self, T):
-        """Indices of the points tight on every facet in T."""
-        return [k for k, t in enumerate(self.tight) if t >= T]
+        """Indices of the points tight on every facet in the bitmask T."""
+        return [k for k, t in enumerate(self.tight) if t & T == T]
 
     def _vertex_indices(self):
         if self._vertices is None:
@@ -188,7 +194,7 @@ class RegularSubdivision:
         for i, j in itertools.combinations(vs, 2):
             T = tight[i] & tight[j]
             if T & self.upper and not any(
-                    tight[k] >= T for k in vs if k != i and k != j):
+                    tight[k] & T == T for k in vs if k != i and k != j):
                 out.append((i, j, T))
         return out
 
@@ -225,8 +231,10 @@ class TropicalComplex:
     chambers are the closed regions where one essential term is maximal;
     walls (codimension 1) are dual to subdivision edges and weighted by
     their lattice length; ridges (codimension 2) are dual to subdivision
-    2-faces and are built on first use.  The attribute names match Fan so
-    the balancing check below serves both.
+    2-faces and are built on first use.  Walls and ridges are faces of a
+    chamber on the rows of the dual edge or 2-face, so their generators
+    are read off the chamber's and no hull runs per cell.  The attribute
+    names match Fan so the balancing check below serves both.
     """
 
     def __init__(self, f: TropicalPolynomial):
@@ -247,7 +255,7 @@ class TropicalComplex:
         for (a, b) in sub.edges():
             ia, ib = index[a], index[b]
             eq = (vsub(b, a), f.terms[a] - f.terms[b])
-            W = self.chambers[ia].with_equality(*eq)
+            W = self.chambers[ia].face([eq])
             k = W.key()
             assert W.dim() == self.n - 1, "subdivision edges dualize to walls"
             self.walls[k] = W
@@ -266,7 +274,7 @@ class TropicalComplex:
             a0 = face[0]
             base = self.chambers[index[a0]]
             eqs = [(vsub(b, a0), f.terms[a0] - f.terms[b]) for b in face[1:]]
-            R = Polyhedron(self.n, base.inequalities, base.equalities + eqs)
+            R = base.face(eqs)
             k = R.key()
             assert R.dim() == self.n - 2, "subdivision 2-faces dualize to ridges"
             self._ridges[k] = R

@@ -218,6 +218,18 @@ class TestBasisAndExpand:
         assert payload["error"] == "SchemaError"
         assert '"rhs"' in payload["message"]
 
+    @pytest.mark.parametrize("flag", ["yes", 1, None])
+    def test_non_boolean_eq_is_rejected(self, files, capsys, flag):
+        fan_file = files["root"] / "eq_fan.json"
+        fan_file.write_text(json.dumps({"dim": 2, "cones": [
+            [{"normal": [1, 0], "eq": flag}],
+            [{"normal": [-1, 0], "rhs": 0, "eq": False}]]}))
+        code, out, err = run(["basis", str(fan_file)], capsys)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError"
+        assert '"eq"' in payload["message"]
+
 
 class TestDefcone:
     def test_inside_with_polytope(self, files, capsys):

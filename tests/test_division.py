@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from property_sweeps import random_polynomial
+from tropfactor import polyhedra
 from tropfactor.division import (
     NegativeWeight,
     NotBalanced,
@@ -268,6 +269,27 @@ class TestCertificates:
         assert q.same_function(h)
         assert calls["__init__"] == 1
         assert calls["_compute_ridges"] == 0
+
+    def test_divide_runs_no_dd_per_wall(self, monkeypatch):
+        calls = []
+        original = polyhedra.dd_cone
+
+        def counted(constraints, n):
+            calls.append(n)
+            return original(constraints, n)
+
+        monkeypatch.setattr(polyhedra, "dd_cone", counted)
+        g = TropicalPolynomial({(0, 0, 0): 0, (1, 0, 0): -1,
+                                (0, 1, 1): -2, (1, 1, 0): 1})
+        h = TropicalPolynomial({(0, 0, 0): 0, (0, 0, 1): 1, (1, 1, 1): -3})
+        f = g * h
+        divide(f, g)
+        work = len(calls)
+        chambers = len(f.essential_terms())
+        assert len(f.dual_complex().walls) > chambers
+        # f's lifted hull, one V-representation per chamber of T(f), and
+        # the essential terms of g (.) h in the certificate
+        assert work == chambers + 2
 
 
 class TestReconstruct:

@@ -17,6 +17,8 @@ from tropfactor.exact import (
     SQRT2,
     dot,
     field_rank,
+    nullspace_field,
+    sign,
     solve_linear,
     vadd,
     vsub,
@@ -269,6 +271,17 @@ class TestQuadExtGeometry:
         B = Polyhedron.cone_from_rays([(Fraction(3), Fraction(0))], n=2)
         assert A.key() == B.key()
 
+    def test_normalize_ray_is_canonical(self):
+        third, sixth = SQRT2 * Fraction(1, 3), SQRT2 * Fraction(1, 6)
+        assert normalize_ray((-third, -sixth, third)) == (-2, -1, 2)
+        assert normalize_ray((-2, -1, 2)) == (-2, -1, 2)
+        assert normalize_ray((Fraction(-1), Fraction(-1, 2), 1)) == (-2, -1, 2)
+        # every positive multiple, in either field, has one representative
+        for v in [(QuadExt(1, 1), QuadExt(0, 1), 0), (3, 0, -6)]:
+            reps = {normalize_ray(tuple(c * x for x in v))
+                    for c in (1, SQRT2, QuadExt(3, 2), Fraction(2, 7))}
+            assert len(reps) == 1
+
     def test_sqrt2_vertex_polytope(self):
         P = LatticePolytope([(QuadExt(0), QuadExt(0)), (SQRT2, QuadExt(0)),
                              (QuadExt(0), SQRT2)])
@@ -318,11 +331,9 @@ def assert_matches(L, R):
 
     assert facet_vertex_sets(L.inequalities) == facet_vertex_sets(ineqs)
     if L.dim() == L.n:
-        # facet rows are unique up to positive scaling; normalize_ray maps
-        # a rational direction with an irrational scale to a rational but
-        # not primitive vector, which a second pass makes primitive
+        # facet rows are unique up to positive scaling
         def key(a, b):
-            return normalize_ray(normalize_ray(a + (b,)))
+            return normalize_ray(a + (b,))
 
         assert ({key(a, b) for a, b in L.inequalities}
                 == {key(a, b) for a, b in ineqs})
@@ -449,3 +460,199 @@ class TestHullWork:
         P = reconstruct_phi(cf, (1,) * len(cf.wall_order))
         assert len(P.vertices) == 24
         assert len(dd_calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# dd_cone against brute-force ray enumeration
+
+
+def brute_force_cone(constraints, n):
+    """(rays up to lineality, lineality basis) of {x : a.x >= 0 / a.x = 0}.
+
+    A direction is an extreme ray of the cone modulo its lineality L iff
+    its tight rows have rank n - dim L - 1; every row subset of that rank
+    is tried.  Rays are returned as the normalized vectors of their row
+    values, which determine a ray modulo L up to positive scaling.
+    """
+    rows = [a for a, _ in constraints]
+    lin = rref_basis(nullspace_field(rows, ncols=n))
+    d = n - len(lin)
+    eqs = [a for a, eq in constraints if eq]
+    ineqs = [a for a, eq in constraints if not eq]
+    rays = set()
+    for k in range(len(ineqs) + 1):
+        for subset in itertools.combinations(ineqs, k):
+            tight = eqs + list(subset)
+            if (field_rank(tight) if tight else 0) != d - 1:
+                continue
+            # one direction beyond the lineality, up to sign
+            x = next(v for v in nullspace_field(tight, ncols=n)
+                     if any(dot(a, v) for a in ineqs))
+            for r in (x, tuple(-c for c in x)):
+                if all(sign(dot(a, r)) >= 0 for a in ineqs):
+                    rays.add(normalize_ray(tuple(dot(a, r) for a in rows)))
+    return rays, lin
+
+
+def _random_cone_rows(rng, n, field):
+    def entry():
+        if field == "sqrt2":
+            return QuadExt(rng.randint(-2, 2), rng.randint(-1, 1))
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
+
+    m = rng.randint(0, n + 3)
+    rows = [tuple(entry() for _ in range(n)) for _ in range(m)]
+    if rows and rng.random() < 0.3:
+        # rows in a proper subspace: the cone has lineality
+        rows = [tuple(a[:-1]) + (0,) for a in rows]
+    if len(rows) > 1 and rng.random() < 0.3:
+        rows.append(vadd(rows[0], rows[1]))  # a redundant row
+    return [(a, rng.random() < 0.2) for a in rows
+            if any(a)]
+
+
+class TestDoubleDescriptionAgainstBruteForce:
+    @pytest.mark.parametrize("field,seed", [("rational", 31), ("sqrt2", 32)])
+    def test_rays_lineality_and_zero_sets(self, field, seed):
+        rng = random.Random(seed)
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            cons = _random_cone_rows(rng, n, field)
+            rays, lin, zsets = polyhedra.dd_cone(cons, n)
+            rows = [a for a, _ in cons]
+            for r, z in zip(rays, zsets):
+                vals = [dot(a, r) for a in rows]
+                assert all(v == 0 if eq else sign(v) >= 0
+                           for v, (_, eq) in zip(vals, cons))
+                assert z == frozenset(k for k, v in enumerate(vals) if v == 0)
+            keys = [normalize_ray(tuple(dot(a, r) for a in rows))
+                    for r in rays]
+            assert len(set(keys)) == len(keys)
+            want_rays, want_lin = brute_force_cone(cons, n)
+            assert set(keys) == want_rays
+            assert rref_basis(lin) == want_lin
+
+
+# ---------------------------------------------------------------------------
+# faces from their parent's generators against a per-cell DD
+
+
+def per_cell_dd(P, rows):
+    """The reference route: a fresh double description of the face."""
+    return Polyhedron(P.n, P.inequalities, P.equalities + list(rows))
+
+
+def reference_cells(fan):
+    """Walls, sides, ridges and ridge stars with one DD per cell."""
+    walls, sides = {}, {}
+    for ci, C in enumerate(fan.chambers):
+        ineqs, eqs = C.minimal_hrep()
+        for a, b in ineqs:
+            k = Polyhedron(fan.n, ineqs, eqs + [(a, b)]).key()
+            walls.setdefault(k, Polyhedron(fan.n, ineqs, eqs + [(a, b)]))
+            sides.setdefault(k, []).append((ci, tuple(-x for x in a)))
+    ridges, star = set(), {}
+    for wk, W in walls.items():
+        ineqs, eqs = W.minimal_hrep()
+        for a, b in ineqs:
+            R = Polyhedron(fan.n, ineqs, eqs + [(a, b)])
+            if R.is_empty() or R.dim() != fan.n - 2:
+                continue
+            ridges.add(R.key())
+            if wk not in star.setdefault(R.key(), []):
+                star[R.key()].append(wk)
+    return set(walls), sides, ridges, star
+
+
+class TestFacesAgainstPerCellDD:
+    def check_fan(self, fan):
+        walls, sides, ridges, star = reference_cells(fan)
+        assert set(fan.walls) == walls
+        assert fan.wall_chambers == sides
+        assert set(fan.ridges) == ridges
+        assert fan.ridge_walls == star
+        for k, W in fan.walls.items():
+            assert W.key() == k
+
+    def test_octagon_and_cube_normal_fans(self):
+        cube = [p for p in itertools.product((0, 1), repeat=3)]
+        for pts in (OCTAGON, cube):
+            P = LatticePolytope(pts)
+            fan = P.normal_fan()
+            self.check_fan(fan)
+            chambers = dict(zip(fan.labels, fan.chambers))
+            # the normal fan keys each wall by the chamber of one end
+            want = {per_cell_dd(chambers[u], [(vsub(u, v), 0)]).key(): (u, v)
+                    for u, v in P.edges()}
+            assert fan.wall_duals == want
+
+    def test_coxeter_fans(self):
+        for name in ("B2", "A3"):
+            self.check_fan(coxeter_fan(build_root_system(name)).fan)
+
+    def test_fans_with_lineality(self):
+        from tropfactor.formats import weighted_fan_from_json
+
+        def cone(*normals):
+            return [{"normal": list(a), "rhs": 0, "eq": False}
+                    for a in normals]
+
+        half_planes = {"dim": 2, "cones": [cone((1, 0)), cone((-1, 0))]}
+        # the four quadrants of the (x, y)-plane times the z-axis
+        quadrants_line = {"dim": 3, "cones": [
+            cone((sx, 0, 0), (0, sy, 0)) for sx in (1, -1) for sy in (1, -1)]}
+        fan, _ = weighted_fan_from_json(half_planes)
+        self.check_fan(fan)
+        assert len(fan.walls) == 1 and fan.ridges == {}
+        fan, _ = weighted_fan_from_json(quadrants_line)
+        self.check_fan(fan)
+        assert len(fan.walls) == 4
+        assert [len(s) for s in fan.ridge_walls.values()] == [4]
+
+    def test_tropical_complex_walls_and_ridges(self):
+        from property_sweeps import random_polynomial
+        from tropfactor.tropical import TropicalPolynomial
+
+        rng = random.Random(77)
+        polys = []
+        for _ in range(40):
+            n = rng.choice([1, 2, 3, 3])
+            polys.append(random_polynomial(rng, n))
+            # a Newton polytope of lower dimension: the chambers have
+            # lineality
+            g = random_polynomial(rng, 2)
+            polys.append(TropicalPolynomial(
+                {(a, b, a + b): v for (a, b), v in g.terms.items()}))
+        for f in polys:
+            T = f.dual_complex()
+            terms = f.terms
+            index = {a: i for i, a in enumerate(T.chamber_terms)}
+            want = {}
+            for a, b in f.subdivision().edges():
+                W = per_cell_dd(T.chambers[index[a]],
+                                [(vsub(b, a), terms[a] - terms[b])])
+                want[W.key()] = (a, b)
+            assert T.wall_duals == want
+            ridges = set()
+            for face in f.subdivision().two_faces():
+                a0 = face[0]
+                R = per_cell_dd(T.chambers[index[a0]],
+                                [(vsub(b, a0), terms[a0] - terms[b])
+                                 for b in face[1:]])
+                ridges.add(R.key())
+            assert set(T.ridges) == ridges
+            for k, R in T.ridges.items():
+                assert R.key() == k
+
+    def test_invalid_rows_raise(self):
+        square = Polyhedron(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1),
+                                ((0, -1), 0)])
+        assert square.face([((1, 0), 1)]).vertices == [(1, 0), (1, 1)]
+        with pytest.raises(ValueError):
+            square.face([((1, 0), 0)])  # the vertex (1, 0) violates it
+        quadrant = Polyhedron(2, [((-1, 0), 0), ((0, -1), 0)])
+        with pytest.raises(ValueError):
+            quadrant.face([((1, 0), 0)])  # the ray (1, 0) violates it
+        half_plane = Polyhedron(2, [((-1, 0), 0)])
+        with pytest.raises(ValueError):
+            half_plane.face([((0, 1), 0)])  # the lineality leaves it
