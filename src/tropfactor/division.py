@@ -87,7 +87,9 @@ def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
     this fails, a term overtakes b along p + t*u within that range, and
     the first tie point is the witness: it is in V(g) and still interior
     to D, since it lies strictly before the vertex or on an unbounded
-    direction.  Tf may pass a prebuilt f.dual_complex().
+    direction.  Tf may pass a prebuilt f.dual_complex().  A witness is
+    checked before it is returned: g attains its maximum at two terms or
+    more there and f at exactly one, else CertificateError.
     """
     if g.n != f.n:
         raise ValueError("ambient dimensions differ")
@@ -109,7 +111,7 @@ def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
         p = D.relative_interior_point()
         arg = g.argmax(p)
         if len(arg) > 1:
-            return p
+            return _checked_witness(g, f, p)
         b = arg[0]
         vb = g.terms[b]
         dirs = list(D.rays) + [u for l in D.lineality
@@ -119,8 +121,17 @@ def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
             (u for u in dirs if dot(b, u) != g_top(u))), None)
         if bad is not None:
             t = _first_tie(g, b, p, bad)
-            return tuple(x + t * y for x, y in zip(p, bad))
+            return _checked_witness(
+                g, f, tuple(x + t * y for x, y in zip(p, bad)))
     return None
+
+
+def _checked_witness(g: TropicalPolynomial, f: TropicalPolynomial, x):
+    """x, after checking that it lies on V(g) and off V(f)."""
+    if len(g.argmax(x)) < 2 or len(f.argmax(x)) != 1:
+        raise CertificateError(
+            f"the point {x} does not separate V(g) from V(f)")
+    return x
 
 
 def _first_tie(g: TropicalPolynomial, b, p, u):
@@ -203,7 +214,9 @@ def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
     for i, a in enumerate(Tf.chamber_terms):
         p = Tf.chambers[i].relative_interior_point()
         arg = g.argmax(p)
-        assert len(arg) == 1, "chamber interiors avoid the variety of g"
+        if len(arg) != 1:
+            raise CertificateError(
+                f"the chamber of {a} meets the variety of g at {p}")
         b = arg[0]
         e = vsub(a, b)
         c = f.terms[a] - g.terms[b]

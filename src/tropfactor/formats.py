@@ -222,6 +222,25 @@ def _cone_from_hrep(obj, n: int) -> Polyhedron:
     return Polyhedron(n, ineqs, eqs)
 
 
+def _expect_complete_fan(fan: Fan):
+    """SchemaError unless the cones meet like the chambers of a complete fan.
+
+    No chamber's interior point may lie in another chamber, and a
+    relative-interior point of every wall must lie in exactly two.
+    """
+    chambers = fan.chambers
+    for i, C in enumerate(chambers):
+        p = C.relative_interior_point()
+        _expect(not any(D.contains(p) for j, D in enumerate(chambers)
+                        if j != i),
+                f"cone {i} overlaps the interior of another cone")
+    for W in fan.walls.values():
+        p = W.relative_interior_point()
+        _expect(sum(C.contains(p) for C in chambers) == 2,
+                f"the wall through {[str(x) for x in p]} is not shared by "
+                "exactly two cones")
+
+
 def weighted_fan_from_json(obj):
     """Returns (fan, weights-by-wall-key or None)."""
     _expect(isinstance(obj, dict), "a fan file must hold a JSON object")
@@ -234,6 +253,7 @@ def weighted_fan_from_json(obj):
     _expect(isinstance(cones, list) and cones,
             '"cones" must be a non-empty list')
     fan = Fan([_cone_from_hrep(c, n) for c in cones])
+    _expect_complete_fan(fan)
     keys = sorted(fan.walls)
     raw = obj.get("weights", [])
     _expect(isinstance(raw, list), '"weights" must be a list')

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import (
+    CertificateError,
     QuadExt,
     TropfactorError,
     dot,
@@ -208,40 +209,36 @@ def dd_cone(constraints, n):
     return list(rays), rref_basis(lineality), list(zsets)
 
 
-def point_hull(points):
-    """(facet rows, affine-hull equalities, facet bitmasks) of conv(points).
+def point_hull(points, rays=()):
+    """(facet rows, equalities, facet bitmasks) of conv(points) + cone(rays).
 
-    One double description of the homogenized points: the facets a.x <= b
-    are its rays, each scaled so that a is in normalize_ray form, the
-    equalities a.x = b its lineality, and bit j of the i-th bitmask is set
-    when points[i] lies on facet j (read off the zero sets).
+    One double description of the homogenized generators: the facets
+    a.x <= b are its rays, each scaled so that a is in normalize_ray form,
+    the equalities a.x = b its lineality, and bit j of the i-th bitmask is
+    set when points[i] lies on facet j (read off the zero sets).
     """
     n = len(points[0])
-    rays, lin, zsets = dd_cone([((1,) + tuple(p), False) for p in points],
-                               n + 1)
+    cons = ([((1,) + tuple(p), False) for p in points]
+            + [((0,) + tuple(r), False) for r in rays])
+    hrays, lin, zsets = dd_cone(cons, n + 1)
     ineqs = []
     on = [0] * len(points)
-    for r, z in zip(rays, zsets):
+    for r, z in zip(hrays, zsets):
         if is_zero_vector(r[1:]):
             continue  # the inequality t >= 0 itself
         bit = 1 << len(ineqs)
         ineqs.append(_scaled_to_normal(tuple(-x for x in r[1:]), r[0]))
         for i in z:
-            on[i] |= bit
+            if i < len(points):
+                on[i] |= bit
     eqs = [(tuple(-x for x in l[1:]), l[0]) for l in lin]
     return ineqs, eqs, on
 
 
-def cone_to_inequalities(rays, lineality, n):
-    """Irredundant H-description of cone(rays) + span(lineality).
-
-    Returns (inequalities, equalities) as homogeneous normal vectors a,
-    meaning a.x >= 0 and a.x = 0.  Obtained by double description on the
-    polar cone.
-    """
-    cons = [(tuple(r), False) for r in rays] + [(tuple(l), True) for l in lineality]
-    polar_rays, polar_lin, _ = dd_cone(cons, n)
-    return list(polar_rays), list(polar_lin)
+def _homogeneous_row(a, b):
+    """The row a.x <= b scaled as from_generators returns a facet."""
+    f = normalize_ray((b,) + tuple(-x for x in a))
+    return tuple(-x for x in f[1:]), f[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +246,14 @@ def cone_to_inequalities(rays, lineality, n):
 
 
 class Polyhedron:
-    """A convex polyhedron {x : A x <= b, E x = c} with exact entries."""
+    """A convex polyhedron {x : A x <= b, E x = c} with exact entries.
 
-    def __init__(self, n: int, inequalities=(), equalities=()):
+    generators, when known, is its (vertices, rays, lineality) in the form
+    a double description of the rows returns, which then never runs.
+    """
+
+    def __init__(self, n: int, inequalities=(), equalities=(),
+                 generators=None):
         self.n = n
         self.inequalities = [(tuple(a), b) for a, b in inequalities]
         self.equalities = [(tuple(a), b) for a, b in equalities]
@@ -259,6 +261,9 @@ class Polyhedron:
             if len(a) != n:
                 raise DimensionMismatch(f"normal of length {len(a)} in R^{n}")
         self._vrep = None
+        if generators is not None:
+            verts, rays, lin = generators
+            self._vrep = (sorted(verts), sorted(rays), tuple(lin))
         self._hrep_min = None
 
     # -- constructors ------------------------------------------------------
@@ -275,9 +280,10 @@ class Polyhedron:
             n = len(probe[0])
         if any(len(v) != n for v in pts + rys + lin):
             raise DimensionMismatch("mixed-dimension generators")
-        gens = [(1,) + p for p in pts] + [(0,) + r for r in rys]
-        glin = [(0,) + l for l in lin]
-        ineqs_h, eqs_h = cone_to_inequalities(gens, glin, n + 1)
+        cons = ([((1,) + p, False) for p in pts]
+                + [((0,) + r, False) for r in rys]
+                + [((0,) + l, True) for l in lin])
+        ineqs_h, eqs_h, _ = dd_cone(cons, n + 1)
         ineqs, eqs = [], []
         for f in ineqs_h:
             s, y = f[0], f[1:]
@@ -290,18 +296,8 @@ class Polyhedron:
                 continue
             eqs.append((tuple(-x for x in y), s))
         P = cls(n, ineqs, eqs)
-        P._hrep_min = (list(P.inequalities), list(P.equalities))
+        P._hrep_min = (sorted(P.inequalities), P.equalities)
         return P
-
-    @classmethod
-    def cone_from_rays(cls, rays, lineality=(), n=None):
-        if n is None:
-            probe = list(rays) + list(lineality)
-            if not probe:
-                raise DimensionMismatch("cannot infer ambient dimension")
-            n = len(probe[0])
-        zero = tuple(Fraction(0) for _ in range(n))
-        return cls.from_generators([zero], rays, lineality, n=n)
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.n != other.n:
@@ -320,16 +316,16 @@ class Polyhedron:
         with a.r > 0 or a lineality generator with a.l != 0.
         """
         rows = [(tuple(a), b) for a, b in rows]
-        F = Polyhedron(self.n, self.inequalities, self.equalities + rows)
         verts, rays, lin = self._compute_vrep()
         gaps = [[sign(dot(a, v) - b) for a, b in rows] for v in verts]
         slopes = [[sign(dot(a, r)) for a, _ in rows] for r in rays]
         if (any(s > 0 for g in gaps + slopes for s in g)
                 or any(dot(a, l) for a, _ in rows for l in lin)):
             raise ValueError(f"the rows {rows} are not valid on the polyhedron")
-        F._vrep = ([v for v, g in zip(verts, gaps) if not any(g)],
-                   [r for r, g in zip(rays, slopes) if not any(g)], lin)
-        return F
+        return Polyhedron(
+            self.n, self.inequalities, self.equalities + rows,
+            ([v for v, g in zip(verts, gaps) if not any(g)],
+             [r for r, g in zip(rays, slopes) if not any(g)], lin))
 
     # -- V-representation --------------------------------------------------
 
@@ -433,13 +429,34 @@ class Polyhedron:
     # -- irredundant H-representation -------------------------------------
 
     def minimal_hrep(self):
-        """(facet inequalities, affine-hull equalities), canonically scaled."""
+        """(sorted facet inequalities, affine-hull equalities), canonically
+        scaled.
+
+        Read off the incidences when the polyhedron is full-dimensional,
+        that is when it has no equalities and no row is tight on every
+        generator: each facet is the face of a row, and a row's face is a
+        facet when it contains a vertex and no other row's face contains
+        it.  Otherwise one double description of the polar cone runs.
+        """
         if self._hrep_min is None:
             verts, rays, lin = self._compute_vrep()
             if not verts:
                 raise ValueError("empty polyhedron has no facet description")
-            P = Polyhedron.from_generators(verts, rays, lin, n=self.n)
-            self._hrep_min = (P.inequalities, P.equalities)
+            masks = [sum(1 << k for k, on in enumerate(
+                         [dot(a, v) == b for v in verts]
+                         + [not dot(a, r) for r in rays]) if on)
+                     for a, b in self.inequalities]
+            full = (1 << (len(verts) + len(rays))) - 1
+            if self.equalities or full in masks:
+                P = Polyhedron.from_generators(verts, rays, lin, n=self.n)
+                self._hrep_min = P._hrep_min
+            else:
+                at_vertex = (1 << len(verts)) - 1
+                facets = {_homogeneous_row(a, b)
+                          for (a, b), m in zip(self.inequalities, masks)
+                          if m & at_vertex and not any(
+                              o != m and o & m == m for o in masks)}
+                self._hrep_min = (sorted(facets), [])
         ineqs, eqs = self._hrep_min
         return list(ineqs), list(eqs)
 
@@ -659,30 +676,43 @@ class LatticePolytope:
     def normal_fan(self) -> "Fan":
         """The complete normal fan, with edge weights attached to walls.
 
-        Chambers are the vertex normal cones N(v) in the max convention.
-        Each wall (codimension 1 cone) is dual to an edge and carries the
-        edge's weight (see edge_weight).
+        Chambers are the vertex normal cones N(v) in the max convention,
+        read off the incidences with no hull: N(v) is the pointed cone
+        spanned by the outer normals of the facets at v, and its facets
+        (w - v).y <= 0 are dual to the edges (v, w) (Ziegler, Lectures on
+        Polytopes, 7.1).  Each wall (codimension 1 cone) is dual to an
+        edge and carries the edge's weight (see edge_weight).
         """
         if self.dim() != self.n:
             raise DegeneratePolytope(
                 f"polytope has dimension {self.dim()} < ambient {self.n}")
+        edges = self._edge_index()
+        neighbours = [[] for _ in self.vertices]
+        for i, j, _ in edges:
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        origin = tuple(Fraction(0) for _ in range(self.n))
         chambers = []
-        for v in self.vertices:
-            ineqs = [(tuple(vsub(w, v)), Fraction(0)) for w in self.vertices
-                     if w != v]
-            chambers.append(Polyhedron(self.n, ineqs))
+        for v, t, near in zip(self.vertices, self._tight, neighbours):
+            rows = [(integer_row(vsub(self.vertices[j], v)), Fraction(0))
+                    for j in near]
+            rays = [a for k, (a, _) in enumerate(self.inequalities)
+                    if t >> k & 1]
+            chambers.append(Polyhedron(self.n, rows,
+                                       generators=([origin], rays, ())))
         fan = Fan(chambers, labels=list(self.vertices))
         weights = {}
         duals = {}
-        for (u, v) in self.edges():
-            iu = self.vertices.index(u)
-            k = chambers[iu].face([(vsub(v, u), Fraction(0))]).key()
+        for i, j, _ in edges:
+            u, v = self.vertices[i], self.vertices[j]
+            k = chambers[i].face([(vsub(v, u), Fraction(0))]).key()
             weights[k] = self.edge_weight(u, v)
             duals[k] = (u, v)
         fan.wall_weights = weights
         fan.wall_duals = duals
-        missing = [k for k in fan.walls if k not in weights]
-        assert not missing, "every wall of a normal fan is dual to an edge"
+        if any(k not in weights for k in fan.walls):
+            raise CertificateError(
+                "a wall of the normal fan is dual to no edge")
         return fan
 
 

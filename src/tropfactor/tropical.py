@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exact import (
+    CertificateError,
     TropfactorError,
     dot,
     field_rank,
@@ -35,6 +36,7 @@ from .polyhedra import (
     LatticePolytope,
     Polyhedron,
     integer_row,
+    normalize_ray,
     point_hull,
     rref_basis,
 )
@@ -139,34 +141,29 @@ class RegularSubdivision:
     lying on the corresponding upper face, so terms absorbed into the
     interior or boundary of a cell are kept visible.
 
-    Every face of the subdivision is read off the one lifted hull through
-    facet incidences: tight[i] is the bitmask of the hull facets the i-th
-    lifted point lies on, as point_hull returns it.  A face is the set of
-    points tight on a set T of facets; it belongs to the subdivision when
-    T contains an upper facet (a bit of the mask upper).  When the lift is
-    affine (or there is a single term) the whole lifted polytope is the
-    one cell, recorded as an extra upper facet every point is tight on.
+    Everything is read off one double description: the lifted points
+    (a, v_a) plus the downward ray (0, ..., 0, -1).  Each facet row
+    (alpha, c).(x, t) <= beta of that polyhedron is either upper (c > 0),
+    a cell of the subdivision, or vertical (c = 0), lying over a facet of
+    the Newton polytope; its equalities (alpha, 0) are those of the
+    affine hull of the Newton polytope, and normals keeps their alpha.
+    tight[i] is the bitmask of the facets the i-th lifted point lies on,
+    as point_hull returns it.  A face is the set of points tight on a set
+    T of facets; it belongs to the subdivision when T contains an upper
+    facet (a bit of the mask upper).  An affine lift, or a single term,
+    has one upper facet.
     """
 
     def __init__(self, f: TropicalPolynomial):
         # no reference back to f: f caches its subdivision
         self.points = list(f.terms)
         lifted = [a + (v,) for a, v in f.terms.items()]
-        ineqs, eqs, self.tight = [], [], [0]
-        if len(lifted) > 1:
-            ineqs, eqs, self.tight = point_hull(lifted)
-        if len(lifted) == 1 or any(a[-1] for a, _ in eqs):
-            # the lift is affine over the Newton polytope: trivial subdivision
-            whole = 1 << len(ineqs)
-            self.tight = [t | whole for t in self.tight]
-            self.upper = whole
-            facets = [whole]
-        else:
-            facets = [1 << i for i, (a, _) in enumerate(ineqs)
-                      if sign(a[-1]) > 0]
-            self.upper = sum(facets)
-            assert self.upper, (
-                "an upper facet exists whenever the lift is not affine")
+        self.rows, eqs, self.tight = point_hull(
+            lifted, [(0,) * f.n + (-1,)])
+        self.normals = [a[:-1] for a, _ in eqs]
+        facets = [1 << j for j, (a, _) in enumerate(self.rows)
+                  if sign(a[-1]) > 0]
+        self.upper = sum(facets)
         self.cells = sorted(
             tuple(p for p, t in zip(self.points, self.tight) if t & bit)
             for bit in facets)
@@ -231,10 +228,18 @@ class TropicalComplex:
     chambers are the closed regions where one essential term is maximal;
     walls (codimension 1) are dual to subdivision edges and weighted by
     their lattice length; ridges (codimension 2) are dual to subdivision
-    2-faces and are built on first use.  Walls and ridges are faces of a
-    chamber on the rows of the dual edge or 2-face, so their generators
-    are read off the chamber's and no hull runs per cell.  The attribute
-    names match Fan so the balancing check below serves both.
+    2-faces and are built on first use.  The attribute names match Fan so
+    the balancing check below serves both.
+
+    No hull runs per cell.  The chamber of a term a is dual to its star
+    in the subdivision (Maclagan-Sturmfels, Introduction to Tropical
+    Geometry, 3.1): each upper facet (alpha, c) of the lifted hull through
+    a gives the vertex alpha / c, each vertical facet (alpha, 0) the ray
+    alpha, and the lineality is orthogonal to the Newton polytope.  Like
+    a double description of the chamber, the hull's double description
+    splits the lineality off from the first coordinate on, so both give
+    the same representatives.  Walls and ridges are faces of a chamber on
+    the rows of the dual edge or 2-face.
     """
 
     def __init__(self, f: TropicalPolynomial):
@@ -242,11 +247,22 @@ class TropicalComplex:
         self.n = f.n
         sub = f.subdivision()
         self.chamber_terms = list(f.essential_terms())
+        lin = rref_basis(sub.normals)
         self.chambers = []
-        for a in self.chamber_terms:
+        for i in sub._vertex_indices():
+            a = sub.points[i]
             va = f.terms[a]
             ineqs = [(vsub(b, a), va - vb) for b, vb in f.terms.items() if b != a]
-            self.chambers.append(Polyhedron(self.n, ineqs))
+            verts, rays = [], []
+            for j, (row, _) in enumerate(sub.rows):
+                if sub.tight[i] >> j & 1:
+                    alpha, c = row[:-1], row[-1]
+                    if c:
+                        verts.append(tuple(Fraction(x) / c for x in alpha))
+                    else:
+                        rays.append(normalize_ray(alpha))
+            self.chambers.append(
+                Polyhedron(self.n, ineqs, generators=(verts, rays, lin)))
         self.walls = {}
         self.wall_duals = {}
         self.wall_weights = {}
@@ -257,7 +273,9 @@ class TropicalComplex:
             eq = (vsub(b, a), f.terms[a] - f.terms[b])
             W = self.chambers[ia].face([eq])
             k = W.key()
-            assert W.dim() == self.n - 1, "subdivision edges dualize to walls"
+            if W.dim() != self.n - 1:
+                raise CertificateError(
+                    f"the subdivision edge {(a, b)} dualizes to no wall")
             self.walls[k] = W
             self.wall_duals[k] = (a, b)
             self.wall_weights[k] = rational_content(vsub(b, a))
@@ -276,7 +294,9 @@ class TropicalComplex:
             eqs = [(vsub(b, a0), f.terms[a0] - f.terms[b]) for b in face[1:]]
             R = base.face(eqs)
             k = R.key()
-            assert R.dim() == self.n - 2, "subdivision 2-faces dualize to ridges"
+            if R.dim() != self.n - 2:
+                raise CertificateError(
+                    f"the subdivision 2-face {face} dualizes to no ridge")
             self._ridges[k] = R
             # an edge of the subdivision with both ends in the face is an
             # edge of the face

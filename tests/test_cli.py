@@ -218,6 +218,17 @@ class TestBasisAndExpand:
         assert payload["error"] == "SchemaError"
         assert '"rhs"' in payload["message"]
 
+    def test_overlapping_cones_are_rejected(self, files, capsys):
+        # x, y <= 0; x >= 0; y >= 0: the last two cones overlap
+        fan_file = files["root"] / "overlapping_fan.json"
+        fan_file.write_text(json.dumps({"dim": 2, "cones": [
+            [{"normal": [1, 0], "rhs": 0}, {"normal": [0, 1], "rhs": 0}],
+            [{"normal": [-1, 0], "rhs": 0}],
+            [{"normal": [0, -1], "rhs": 0}]]}))
+        code, out, err = run(["basis", str(fan_file)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "SchemaError"
+
     @pytest.mark.parametrize("flag", ["yes", 1, None])
     def test_non_boolean_eq_is_rejected(self, files, capsys, flag):
         fan_file = files["root"] / "eq_fan.json"

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 
@@ -282,14 +285,63 @@ class TestCertificates:
         g = TropicalPolynomial({(0, 0, 0): 0, (1, 0, 0): -1,
                                 (0, 1, 1): -2, (1, 1, 0): 1})
         h = TropicalPolynomial({(0, 0, 0): 0, (0, 0, 1): 1, (1, 1, 1): -3})
-        f = g * h
-        divide(f, g)
-        work = len(calls)
-        chambers = len(f.essential_terms())
-        assert len(f.dual_complex().walls) > chambers
-        # f's lifted hull, one V-representation per chamber of T(f), and
-        # the essential terms of g (.) h in the certificate
-        assert work == chambers + 2
+        # supports on the plane x3 = x1 + x2: every chamber has lineality
+        gp = TropicalPolynomial({(0, 0, 0): 0, (1, 0, 1): -1,
+                                 (0, 1, 1): 2, (1, 1, 2): -1})
+        hp = TropicalPolynomial({(0, 0, 0): 1, (2, 1, 3): 0, (1, 2, 3): -2})
+        for g, h in ((g, h), (gp, hp)):
+            f = g * h
+            del calls[:]
+            divide(f, g)
+            assert len(f.dual_complex().walls) > len(f.essential_terms())
+            # f's lifted hull and the essential terms of g (.) h in the
+            # certificate; no chamber, wall or ridge runs its own
+            assert len(calls) == 2
+
+    def test_not_contained_witness_is_checked(self, monkeypatch):
+        import tropfactor.division as division
+
+        g = TropicalPolynomial({(0, 0): 0, (1, 1): 0})
+        f = TropicalPolynomial(F_TERMS)
+        with pytest.raises(NotContained):
+            divide(f, g)
+        # a first tie at t = 0 leaves the witness off V(g)
+        monkeypatch.setattr(division, "_first_tie", lambda *args: 0)
+        with pytest.raises(CertificateError):
+            divide(f, g)
+
+    def test_checks_survive_python_O(self):
+        script = textwrap.dedent("""
+            import tropfactor.division as division
+            from tropfactor.exact import CertificateError
+            from tropfactor.tropical import TropicalPolynomial
+
+            if __debug__:
+                raise SystemExit("asserts are on")
+            failures = 0
+            f = TropicalPolynomial({(0, 0): 0, (1, 0): -7, (0, 1): -7})
+            g = TropicalPolynomial({(0, 0): 0, (1, 1): 0})
+            division._first_tie = lambda *args: 0
+            try:
+                division.divide(f, g)
+            except CertificateError:
+                failures += 1
+            f = TropicalPolynomial({(0,): 0})
+            g = TropicalPolynomial({(0,): 0, (1,): 0})
+            # V(g) meets the one chamber of T(f); with containment and the
+            # product identity taken as given, only the chamber check fails
+            division.variety_containment_witness = lambda *args: None
+            TropicalPolynomial.same_function = lambda self, other: True
+            try:
+                division.divide(f, g)
+            except CertificateError:
+                failures += 1
+            print(failures)
+            """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
 
 
 class TestReconstruct:

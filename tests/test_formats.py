@@ -184,6 +184,16 @@ class TestWeightedFanFormat:
         with pytest.raises(SchemaError):
             weighted_fan_from_json(obj)
 
+    def test_cones_must_form_a_complete_fan(self):
+        def cone(*normals):
+            return [{"normal": list(a), "rhs": 0} for a in normals]
+
+        overlapping = [cone((1, 0), (0, 1)), cone((-1, 0)), cone((0, -1))]
+        half_plane = [cone((1, 0))]   # its wall has one side
+        for cones in (overlapping, half_plane):
+            with pytest.raises(SchemaError):
+                weighted_fan_from_json({"dim": 2, "cones": cones})
+
     def test_mismatched_weight_keys_rejected_on_encode(self):
         fan = OCTAGON.normal_fan()
         with pytest.raises(ValueError):

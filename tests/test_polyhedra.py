@@ -112,7 +112,7 @@ class TestPolyhedronHRep:
         assert not wedge.contains_polyhedron(quad)
 
     def test_key_is_representation_independent(self):
-        A = Polyhedron.cone_from_rays([(2, 0), (2, 2)])
+        A = Polyhedron.from_generators([(0, 0)], [(2, 0), (2, 2)])
         B = Polyhedron(2, [((0, -1), 0), ((-1, 1), 0)])
         assert A.key() == B.key()
         assert A == B
@@ -136,7 +136,8 @@ class TestFromGenerators:
         assert not P.contains((3, 3, 0))
 
     def test_cone_roundtrip(self):
-        C = Polyhedron.cone_from_rays([(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)])
+        C = Polyhedron.from_generators(
+            [(0, 0, 0)], [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)])
         assert C.vertices == [(0, 0, 0)]
         assert len(C.rays) == 4
 
@@ -267,8 +268,8 @@ class TestQuadExtGeometry:
         assert C.contains(p)
 
     def test_demotion_unifies_keys(self):
-        A = Polyhedron.cone_from_rays([(QuadExt(1), QuadExt(0))], n=2)
-        B = Polyhedron.cone_from_rays([(Fraction(3), Fraction(0))], n=2)
+        A = Polyhedron.from_generators([(0, 0)], [(QuadExt(1), QuadExt(0))])
+        B = Polyhedron.from_generators([(0, 0)], [(Fraction(3), Fraction(0))])
         assert A.key() == B.key()
 
     def test_normalize_ray_is_canonical(self):
@@ -452,6 +453,15 @@ class TestHullWork:
         P + point
         point + P
         assert dd_calls == []
+
+    def test_normal_fan_cells_take_no_dd(self, dd_calls):
+        cube = list(itertools.product((0, 1), repeat=3))
+        for pts in (OCTAGON, cube):
+            P = LatticePolytope(pts)
+            del dd_calls[:]
+            fan = P.normal_fan()
+            assert fan.walls and fan.ridges is not None
+            assert dd_calls == []
 
     def test_reconstruct_phi_on_a3_is_one_dd(self, dd_calls):
         cf = coxeter_fan(build_root_system("A3"))
@@ -656,3 +666,87 @@ class TestFacesAgainstPerCellDD:
         half_plane = Polyhedron(2, [((-1, 0), 0)])
         with pytest.raises(ValueError):
             half_plane.face([((0, 1), 0)])  # the lineality leaves it
+
+
+# ---------------------------------------------------------------------------
+# chambers read off a hull against a per-chamber DD
+
+
+def per_chamber_dd(C):
+    """The reference route: a fresh double description of the chamber's rows."""
+    return Polyhedron(C.n, C.inequalities, C.equalities)
+
+
+def dd_facets(C):
+    """The facets of C from the double description of its polar cone."""
+    return Polyhedron.from_generators(C.vertices, C.rays, C.lineality,
+                                      n=C.n).minimal_hrep()
+
+
+class TestChambersAgainstPerChamberDD:
+    def test_tropical_complex_chambers(self):
+        from property_sweeps import random_polynomial
+        from tropfactor.tropical import TropicalPolynomial
+
+        rng = random.Random(606)
+
+        def lift(exponents, weight=None):
+            c = Fraction(rng.randint(-4, 4))
+            return TropicalPolynomial({
+                e: c + dot(weight, e) if weight else
+                Fraction(rng.randint(-16, 16), 2) for e in exponents})
+
+        polys = []
+        for _ in range(40):
+            n = rng.choice([1, 2, 3])
+            polys.append(random_polynomial(rng, n))
+            # supports on a line and on a plane in R^3
+            ts = rng.sample(range(-3, 4), rng.randint(2, 4))
+            polys.append(lift([(t, 2 * t, -t) for t in ts]))
+            plane = random_polynomial(rng, 2)
+            polys.append(lift([(a, b, a + b) for a, b in plane.terms]))
+            # a single term and an affine lift
+            polys.append(lift([tuple(rng.randint(-2, 2) for _ in range(n))]))
+            polys.append(lift(random_polynomial(rng, n).terms,
+                              tuple(rng.randint(-3, 3) for _ in range(n))))
+        with_lineality = 0
+        for f in polys:
+            T = f.dual_complex()
+            assert len(T.chambers) == len(f.essential_terms())
+            for C in T.chambers:
+                assert C.key() == per_chamber_dd(C).key()
+                with_lineality += bool(C.lineality)
+        assert with_lineality > 50
+
+    def test_normal_fan_chambers(self):
+        from tropfactor.exact import SQRT2
+
+        rng = random.Random(607)
+        polys = [LatticePolytope(OCTAGON),
+                 LatticePolytope(list(itertools.product((0, 1), repeat=3))),
+                 LatticePolytope([(0, 0), (SQRT2, 0), (0, SQRT2)]),
+                 LatticePolytope([(0, 0), (SQRT2, 0), (SQRT2, 1), (0, 1)])]
+        while len(polys) < 40:
+            n = rng.choice([2, 3])
+            P = LatticePolytope(_random_points(rng, n))
+            if P.dim() == n:
+                polys.append(P)
+        for P in polys:
+            for C in P.normal_fan().chambers:
+                assert C.key() == per_chamber_dd(C).key()
+                ineqs, eqs = C.minimal_hrep()
+                want, want_eqs = dd_facets(C)
+                assert set(ineqs) == set(want) and eqs == want_eqs == []
+
+    def test_facets_of_fans_given_by_rows(self):
+        from tropfactor.formats import weighted_fan_from_json
+
+        quadrants_line = {"dim": 3, "cones": [
+            [{"normal": [sx, 0, 0], "rhs": 0}, {"normal": [0, sy, 0], "rhs": 0},
+             {"normal": [sx, sy, 0], "rhs": 0}]
+            for sx in (1, -1) for sy in (1, -1)]}
+        fans = [coxeter_fan(build_root_system(t)).fan for t in ("B2", "A3")]
+        fans.append(weighted_fan_from_json(quadrants_line)[0])
+        for fan in fans:
+            for C in fan.chambers:
+                assert C.minimal_hrep() == dd_facets(C)
