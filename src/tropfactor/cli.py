@@ -30,6 +30,7 @@ from .exact import CertificateError, QuadExt, TropfactorError
 from .formats import SchemaError
 from .minkowski import (
     NotASummand,
+    NotRefined,
     TooLarge,
     expand_in_basis,
     factor,
@@ -75,6 +76,9 @@ def _error_payload(e: TropfactorError) -> dict:
                           "deficit": formats.encode_scalar(e.deficit)}
     elif isinstance(e, NotASummand):
         out["witness"] = _jsonable(e.witness)
+    elif isinstance(e, NotRefined):
+        out["witness"] = {k: formats.encode_vector(e.witness[k])
+                          for k in ("point", "direction")}
     elif isinstance(e, NotInCone):
         out["witness"] = {"partition": e.partition.label(),
                           "value": formats.encode_scalar(e.value)}

@@ -10,6 +10,15 @@ cone is exact over that field; its kernel basis, made non-negative with
 the all-ones vector, plays the role the lattice factorization basis
 plays for rational fans.
 
+Most of the data are rational all the same: the fans, the chamber
+points and the vertices of the usual Phi-polytopes.  So the work runs
+over Q and Q(sqrt(2)) enters only where a value is irrational.  The
+weight kernel is taken of the rational part of the root-form rows and
+rescaled column by column; edge lengths of rational edges cost one
+square root per mirror direction; and in type A, where all primitive
+mirror directions have one primal norm u, support reconstruction of
+rational weights walks in lattice units and scales by 1/u at the end.
+
 Type A_n is coordinatized on the quotient of R^{n+1} by the diagonal:
 points of the fan's ambient space are the action coordinates (f_1, ...,
 f_n) of mean-zero functionals, so the dual Gram matrix is I + J and the
@@ -29,8 +38,10 @@ from .exact import (
     CertificateError,
     TropfactorError,
     dot,
+    is_zero_vector,
     nullspace_field,
     primitive_of_rational,
+    rational_content,
     scalar_sqrt,
     sign,
     solve_linear,
@@ -41,6 +52,7 @@ from .exact import (
 from .division import reconstruct_from_fan
 from .minkowski import (
     FactorizationBasis,
+    NotRefined,
     WeightVector,
     certify_signed_sum,
     wall_lengths,
@@ -50,6 +62,7 @@ from .polyhedra import (
     LatticePolytope,
     Polyhedron,
     demote_vector,
+    is_rational_vector,
     normalize_ray,
 )
 from .tropical import annihilator_lattice, covector
@@ -59,7 +72,7 @@ class UnsupportedType(TropfactorError):
     """The requested Coxeter type is outside A_1..A_4, B2."""
 
 
-class NotAPhiPolytope(TropfactorError):
+class NotAPhiPolytope(NotRefined):
     """The polytope's normal fan is not refined by the Coxeter fan."""
 
 
@@ -83,6 +96,8 @@ class RootSystem:
     matrix, pgram its inverse; mirror(r) = gram . r is the integer
     pairing vector of the mirror hyperplane of r, and at the same time
     the primal direction of edges dual to walls on that mirror.
+    mirror_unit is the primal norm shared by the primitive mirror
+    directions, or None when they have more than one (B2: 1 and sqrt(2)).
     """
 
     def __init__(self, tag: str, n: int, gram, int_roots):
@@ -99,6 +114,10 @@ class RootSystem:
         self.roots = tuple(self.unit_root(r) for r in self.int_roots)
         self.int_simple = tuple(self._find_simple())
         self.simple_roots = tuple(self.unit_root(r) for r in self.int_simple)
+        self._norms = {}  # primitive direction -> its primal norm
+        units = {self.primal_norm(primitive_of_rational(self.mirror(r)))
+                 for r in self.int_positive}
+        self.mirror_unit = units.pop() if len(units) == 1 else None
 
     # -- metric ------------------------------------------------------------
 
@@ -116,6 +135,24 @@ class RootSystem:
         return demote_vector(x / nrm for x in r)
 
     def primal_norm(self, d):
+        """The length sqrt(d . pgram d) of the primal vector d.
+
+        A rational d is rational_content(d) times the norm of its
+        primitive direction, which is computed once per direction: the
+        edges of Phi-polytopes run along the |Phi+| mirror directions.
+        Q(sqrt(2)) input takes the formula directly.
+        """
+        if not is_rational_vector(d):
+            return self._direct_norm(d)
+        if is_zero_vector(d):
+            return Fraction(0)
+        p = primitive_of_rational(d)
+        nrm = self._norms.get(p)
+        if nrm is None:
+            nrm = self._norms[p] = self._direct_norm(p)
+        return rational_content(d) * nrm
+
+    def _direct_norm(self, d):
         return scalar_sqrt(dot(d, tuple(dot(row, d) for row in self.pgram)))
 
     # -- reflections -------------------------------------------------------
@@ -260,50 +297,75 @@ class CoxeterFan:
         for rk in sorted(fan.ridges):
             tau = fan.ridges[rk]
             pi = annihilator_lattice(tau)
-            assert len(pi) == 2, "ridges have codimension 2"
+            if len(pi) != 2:
+                raise CertificateError(
+                    f"a ridge of the Coxeter fan has codimension {len(pi)}")
             signed = {}
             for wk in fan.ridge_walls[rk]:
                 W = fan.walls[wk]
                 p = W.relative_interior_point()
                 on = [r for r, m in mirrors.items() if dot(m, p) == 0]
-                assert len(on) == 1, "each wall lies on exactly one mirror"
+                if len(on) != 1:
+                    raise CertificateError(
+                        f"a wall of the Coxeter fan lies on {len(on)} "
+                        "mirrors, not on exactly one")
                 r = on[0]
                 c = covector(tau, W)
                 s = sign(dot(pi[0], r) * dot(pi[1], c)
                          - dot(pi[1], r) * dot(pi[0], c))
-                assert s != 0, "roots are transverse to their mirrors"
+                if s == 0:
+                    raise CertificateError(
+                        f"the root {r} is not transverse to its mirror")
                 signed.setdefault(r, {})[s] = wk
             entry = []
             for r in rs.int_positive:
                 if r not in signed:
                     continue
-                assert set(signed[r]) == {1, -1}, (
-                    "a mirror through a ridge carries one wall per side")
+                if set(signed[r]) != {1, -1}:
+                    raise CertificateError(
+                        f"the mirror of {r} carries walls of a ridge on "
+                        "one side only")
                 entry.append((r, signed[r][1], signed[r][-1]))
-            assert 2 * len(entry) == len(fan.ridge_walls[rk]), (
-                "the star of a ridge pairs its walls two by two")
+            if 2 * len(entry) != len(fan.ridge_walls[rk]):
+                raise CertificateError(
+                    "the mirrors through a ridge do not pair its walls "
+                    "two by two")
             pairs[rk] = tuple(entry)
         self._pairs = pairs
 
+    def _root_form(self):
+        """(R0, norms): the stacked root-form maps phi^A are R0 . diag(1/norms).
+
+        One row per ridge A and annihilator functional pi of A, one column
+        per wall in wall_order.  A wall lies on exactly one mirror (as
+        _compute_pairs checks), so its column is the integer pi . alpha
+        divided by the norm of its root alpha; norms[j] is that norm, and
+        None for a wall on no ridge (only in A1).
+        """
+        if self._rows is None:
+            self._compute_pairs()
+            col = {k: i for i, k in enumerate(self.wall_order)}
+            root_norm = {r: self.rs.root_norm(r) for r in self.rs.int_positive}
+            norms = [None] * len(col)
+            rows = []
+            for rk in sorted(self._pairs):
+                pi = annihilator_lattice(self.fan.ridges[rk])
+                for j in (0, 1):
+                    row = [0] * len(col)
+                    for r, plus, minus in self._pairs[rk]:
+                        c = dot(pi[j], r)
+                        row[col[plus]] += c
+                        row[col[minus]] -= c
+                        norms[col[plus]] = norms[col[minus]] = root_norm[r]
+                    rows.append(tuple(row))
+            self._rows = rows, norms
+        return self._rows
+
     def _phi_rows(self):
-        """Rows of the stacked root-form maps phi^A over wall_order."""
-        if self._rows is not None:
-            return self._rows
-        self._compute_pairs()
-        fan, rs = self.fan, self.rs
-        col = {k: i for i, k in enumerate(self.wall_order)}
-        rows = []
-        for rk in sorted(self._pairs):
-            pi = annihilator_lattice(fan.ridges[rk])
-            for j in (0, 1):
-                row = [Fraction(0)] * len(self.wall_order)
-                for r, plus, minus in self._pairs[rk]:
-                    coeff = dot(pi[j], r) / rs.root_norm(r)
-                    row[col[plus]] = row[col[plus]] + coeff
-                    row[col[minus]] = row[col[minus]] - coeff
-                rows.append(tuple(row))
-        self._rows = rows
-        return rows
+        """The rows of phi^A over Q(sqrt(2)), as lists of (column, entry)."""
+        R0, norms = self._root_form()
+        return [[(j, x / norms[j]) for j, x in enumerate(row) if x]
+                for row in R0]
 
     def __repr__(self):
         return (f"CoxeterFan({self.rs.tag!r}, {self.group_order} chambers, "
@@ -398,7 +460,8 @@ def root_balanced(cf: CoxeterFan, w) -> bool:
     weights in Q(sqrt(2)).
     """
     values = cf.weight_values(cf.weight_dict(w))
-    return all(dot(row, values) == 0 for row in cf._phi_rows())
+    return not any(sum(c * values[j] for j, c in row)
+                   for row in cf._phi_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +471,40 @@ def root_balanced(cf: CoxeterFan, w) -> bool:
 def phi_weight_cone_basis(cf: CoxeterFan) -> FactorizationBasis:
     """A basis of the balanced weight space, non-negative entry-wise.
 
-    The space is the kernel of the stacked root-form maps over
-    Q(sqrt(2)).  The all-ones vector is balanced (each mirror pair
-    contributes w(F+) - w(F-) = 0) and strictly positive, so exchanging
-    it into a kernel basis and adding suitable multiples of it to the
-    other elements yields a non-negative basis.  Each basis vector is
-    realized as a polytope by support reconstruction.  The rows of the
-    basis matrix follow cf.wall_order, and edges are measured in the
+    The space is the kernel of the stacked root-form maps R over
+    Q(sqrt(2)).  R is R0 . diag(1/|alpha_j|) with R0 rational (see
+    CoxeterFan._root_form), so the kernel is computed over Q: a vector
+    z of ker R0 with free column f (its last non-zero entry) maps to
+    x_j = z_j |alpha_j| / |alpha_f|, which is the field kernel vector
+    of R with x_f = 1, since column scaling keeps the pivot columns.
+    Every x is checked against R over the field.  The all-ones vector is
+    balanced (each mirror pair contributes w(F+) - w(F-) = 0) and
+    strictly positive; it is the sum of the kernel vectors, which is
+    checked too, so it replaces the first of them, and adding multiples
+    of it to the others yields a non-negative basis.  Each basis vector
+    is realized as a polytope by support reconstruction.  The rows of
+    the basis matrix follow cf.wall_order, and edges are measured in the
     primal metric.
     """
     m = len(cf.wall_order)
+    R0, norms = cf._root_form()
+    kernel = []
+    for z in nullspace_field(R0, ncols=m):
+        f = max(j for j, x in enumerate(z) if x)
+        kernel.append(demote_vector(
+            x if not x or norms[j] == norms[f] else x * norms[j] / norms[f]
+            for j, x in enumerate(z)))
     rows = cf._phi_rows()
-    kernel = nullspace_field(rows, ncols=m)
-    assert kernel, "the all-ones vector is always balanced"
+    if any(sum(c * v[j] for j, c in row) for v in kernel for row in rows):
+        raise CertificateError(
+            "a vector of the rational weight kernel is not balanced in the "
+            "root form")
     ones = tuple(Fraction(1) for _ in range(m))
-    assert all(dot(row, ones) == 0 for row in rows)
-    coords = solve_linear([tuple(v[i] for v in kernel) for i in range(m)],
-                          ones)
-    assert coords is not None, "the all-ones vector lies in the kernel"
-    k = next(i for i, c in enumerate(coords) if c)
-    basis = [ones] + [v for i, v in enumerate(kernel) if i != k]
-    out = [basis[0]]
-    for v in basis[1:]:
+    if not kernel or tuple(map(sum, zip(*kernel))) != ones:
+        raise CertificateError(
+            "the balanced weight kernel does not sum to the all-ones vector")
+    out = [ones]
+    for v in kernel[1:]:
         low = min(v)
         if sign(low) < 0:
             v = vadd(v, vscale(-low, ones))
@@ -446,15 +521,25 @@ def reconstruct_phi(cf: CoxeterFan, w) -> LatticePolytope:
 
     Support integration over the chamber graph; the step across a wall
     is the weight times the unit primal normal of the mirror, so weights
-    are metric edge lengths.  NotBalanced propagates from the walk when
-    the weights fail to close up.
+    are metric edge lengths.  When the primitive mirror directions share
+    one primal norm u (type A) and the weights are rational, the walk
+    steps along the primitive integer normals instead: its vertices and
+    its one hull are rational, and the result is that polytope scaled
+    by 1/u, which maps vertices and rows with no hull.  Otherwise each
+    mirror's unit normal is computed once per call.  NotBalanced
+    propagates from the walk when the weights fail to close up.
     """
     by_key = cf.weight_dict(w)
     rs = cf.rs
+    if rs.mirror_unit is not None and is_rational_vector(by_key.values()):
+        return reconstruct_from_fan(cf.fan, by_key).scale(1 / rs.mirror_unit)
+    units = {}
 
     def wall_normal(key, inward):
         p = primitive_of_rational(inward)
-        return demote_vector(x / rs.primal_norm(p) for x in p)
+        if p not in units:
+            units[p] = demote_vector(x / rs.primal_norm(p) for x in p)
+        return units[p]
 
     return reconstruct_from_fan(cf.fan, by_key, wall_normal=wall_normal)
 

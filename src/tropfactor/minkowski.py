@@ -67,7 +67,17 @@ class NotRefining(TropfactorError):
 
 
 class NotRefined(TropfactorError):
-    pass
+    """A fan does not refine a polytope's normal fan; .witness shows where.
+
+    witness is {"point": p, "direction": r}: p is an interior point of a
+    chamber of the fan and r a generator of that chamber, and some
+    vertex of the face of the polytope maximizing p is off the face
+    maximizing r.
+    """
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(message)
 
 
 class NotPolytopal(TropfactorError):
@@ -150,16 +160,18 @@ def wall_lengths(P: LatticePolytope, fan: Fan, length: Callable,
                  not_refined) -> Dict:
     """Wall key -> length of the face of P dual to that wall of the fan.
 
-    The fan must refine the normal fan of P, else not_refined (an error
-    class) is raised: the face of P at an interior point of each chamber
-    must stay on the face in the direction of every generator of the
-    chamber.  Then each wall meets a vertex of P, of length zero, or an
-    edge, measured with length.
+    The fan must refine the normal fan of P, else not_refined (a
+    NotRefined class) is raised: the face of P at an interior point of
+    each chamber must stay on the face in the direction of every
+    generator of the chamber, and the point and the first generator
+    that drops a vertex are the witness.  Then each wall meets a vertex
+    of P, of length zero, or an edge, measured with length.
     """
     if P.n != fan.n:
         raise ValueError("polytope and fan live in different dimensions")
     for C in fan.chambers:
-        F = set(P.face_vertices(C.relative_interior_point()))
+        p = C.relative_interior_point()
+        F = set(P.face_vertices(p))
         dirs = list(C.rays)
         for l in C.lineality:
             dirs.append(l)
@@ -168,7 +180,7 @@ def wall_lengths(P: LatticePolytope, fan: Fan, length: Callable,
             if not F <= set(P.face_vertices(r)):
                 raise not_refined(
                     "a chamber of the fan crosses a wall of the polytope's "
-                    "normal fan")
+                    "normal fan", {"point": p, "direction": r})
     return {wk: segment_length(P.face_vertices(W.relative_interior_point()),
                                length)
             for wk, W in fan.walls.items()}

@@ -54,7 +54,7 @@ def demote_vector(v) -> tuple:
     return tuple(_demote(x) for x in v)
 
 
-def _is_rational_vector(v) -> bool:
+def is_rational_vector(v) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in v)
 
 
@@ -68,14 +68,14 @@ def normalize_ray(v) -> tuple:
     v = demote_vector(v)
     if is_zero_vector(v):
         raise ValueError("zero vector spans no ray")
-    if _is_rational_vector(v):
+    if is_rational_vector(v):
         return primitive_of_rational(v)
     c = abs(next(x for x in v if x))
     if isinstance(c, int):
         c = Fraction(c)  # int / int would give a float
     u = demote_vector(x / c for x in v)
     # a rational direction with an irrational scale gets the primitive form
-    return primitive_of_rational(u) if _is_rational_vector(u) else u
+    return primitive_of_rational(u) if is_rational_vector(u) else u
 
 
 def _scaled_to_normal(a, b) -> tuple:
@@ -111,7 +111,7 @@ def integer_row(a) -> tuple:
     """
     if all(isinstance(x, int) for x in a):
         return tuple(a)
-    if _is_rational_vector(a):
+    if is_rational_vector(a):
         m = 1
         for x in a:
             if isinstance(x, Fraction):
@@ -265,6 +265,7 @@ class Polyhedron:
             verts, rays, lin = generators
             self._vrep = (sorted(verts), sorted(rays), tuple(lin))
         self._hrep_min = None
+        self._rip = None
 
     # -- constructors ------------------------------------------------------
 
@@ -417,14 +418,17 @@ class Polyhedron:
         return True
 
     def relative_interior_point(self):
-        verts, rays, _ = self._compute_vrep()
-        if not verts:
-            raise ValueError("empty polyhedron has no relative interior")
-        k = len(verts)
-        p = tuple(sum(v[i] for v in verts) / k for i in range(self.n))
-        for r in rays:
-            p = vadd(p, r)
-        return p
+        """The vertex average plus the ray sum, computed once."""
+        if self._rip is None:
+            verts, rays, _ = self._compute_vrep()
+            if not verts:
+                raise ValueError("empty polyhedron has no relative interior")
+            k = len(verts)
+            p = tuple(sum(v[i] for v in verts) / k for i in range(self.n))
+            for r in rays:
+                p = vadd(p, r)
+            self._rip = p
+        return self._rip
 
     # -- irredundant H-representation -------------------------------------
 
@@ -500,20 +504,24 @@ class LatticePolytope:
         self.equalities = eqs
         self._tight = tuple(m for _, m in verts)
         self._facet_of = {a: j for j, (a, _) in enumerate(ineqs)}
+        self._ints = None
 
     def _mapped(self, point, offset) -> "LatticePolytope":
         """The image under an order-preserving affine map of the points.
 
         point maps a vertex; offset(a, b) is the new right-hand side of
-        the row a.x <= b (or = b), whose normal a is unchanged.
+        the row a.x <= b (or = b), whose normal a is unchanged.  Vertices
+        and offsets are demoted as a fresh hull's are.
         """
         Q = object.__new__(LatticePolytope)
         Q.n = self.n
         Q.vertices = tuple(demote_vector(point(v)) for v in self.vertices)
-        Q.inequalities = [(a, offset(a, b)) for a, b in self.inequalities]
-        Q.equalities = [(a, offset(a, b)) for a, b in self.equalities]
+        Q.inequalities = [(a, _demote(offset(a, b)))
+                          for a, b in self.inequalities]
+        Q.equalities = [(a, _demote(offset(a, b))) for a, b in self.equalities]
         Q._tight = self._tight
         Q._facet_of = self._facet_of
+        Q._ints = None
         return Q
 
     # -- basics ------------------------------------------------------------
@@ -620,10 +628,35 @@ class LatticePolytope:
         return h, first, last
 
     def face_vertices(self, y):
-        """Vertices of the face of P in direction y (the argmax face)."""
-        vals = [dot(y, v) for v in self.vertices]
+        """Vertices of the face of P in direction y (the argmax face).
+
+        A rational y on a rational polytope is compared on machine
+        integers: y times its common denominator against the vertices
+        times theirs, a table kept from the first query.  Positive
+        scalings leave the argmax unchanged.
+        """
+        if len(y) != self.n:
+            raise DimensionMismatch("direction has wrong dimension")
+        table = self._integer_vertices()
+        if table and is_rational_vector(y):
+            y = integer_row(y)
+            vals = [sum(a * b for a, b in zip(y, v)) for v in table]
+        else:
+            vals = [dot(y, v) for v in self.vertices]
         m = max(vals)
         return [v for v, s in zip(self.vertices, vals) if s == m]
+
+    def _integer_vertices(self) -> tuple:
+        """The vertices times their common denominator; () if irrational."""
+        if self._ints is None:
+            self._ints = ()
+            if all(is_rational_vector(v) for v in self.vertices):
+                d = math.lcm(*(x.denominator for v in self.vertices
+                               for x in v))
+                self._ints = tuple(
+                    tuple(x.numerator * (d // x.denominator) for x in v)
+                    for v in self.vertices)
+        return self._ints
 
     # -- face structure ----------------------------------------------------
 
@@ -667,7 +700,7 @@ class LatticePolytope:
         An edge whose direction is irrational gets its Euclidean length.
         """
         d = vsub(v, u)
-        if _is_rational_vector(d):
+        if is_rational_vector(d):
             return rational_content(d)
         return scalar_sqrt(dot(d, d))
 

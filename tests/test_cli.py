@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, witnesses, output formats."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tropfactor
 from tropfactor.cli import main
@@ -13,12 +17,15 @@ from tropfactor.coxeter import (
     build_root_system,
     coxeter_fan,
     phi_expand,
+    phi_permutahedron,
     phi_weight_cone_basis,
 )
+from tropfactor.exact import dot, sign
 from tropfactor.formats import (
     decode_vector,
     polynomial_from_json,
     polytope_from_json,
+    polytope_to_json,
 )
 from tropfactor.minkowski import (
     FactorizationBasis,
@@ -76,6 +83,21 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refinement_witness(payload, polytope_obj):
+    """The witness point and direction, after checking by evaluation that
+    some vertex maximizing the point does not maximize the direction."""
+    P = polytope_from_json(polytope_obj)
+    p, r = (decode_vector(payload["witness"][k], P.n, k)
+            for k in ("point", "direction"))
+
+    def top(y):
+        h = max(dot(y, v) for v in P.vertices)
+        return {v for v in P.vertices if dot(y, v) == h}
+
+    assert not top(p) <= top(r)
+    return p, r
 
 
 class TestDivide:
@@ -183,7 +205,14 @@ class TestBasisAndExpand:
             {"dim": 2, "vertices": [[0, 0], [2, 1]]}))
         code, out, _ = run(["expand", str(steep), files["S"]], capsys)
         assert code == 1
-        assert json.loads(out)["error"] == "NotRefined"
+        payload = json.loads(out)
+        assert payload["error"] == "NotRefined"
+        p, r = refinement_witness(payload, {"dim": 2,
+                                            "vertices": [[0, 0], [2, 1]]})
+        # p is inside the normal cone of one vertex of S, r on its closure
+        S = polytope_from_json(S_OBJ)
+        (v,) = S.face_vertices(p)
+        assert v in S.face_vertices(r)
 
     def test_fractional_edge_length_is_an_input_error(self, files, capsys):
         half = files["root"] / "half.json"
@@ -341,6 +370,24 @@ class TestCoxeter:
         assert code == 1
         assert json.loads(out)["error"] == "PointOnHyperplane"
 
+    def test_non_phi_polytope_has_a_checked_witness(self, files, capsys):
+        obj = {"dim": 3, "vertices": [[0, 0, 0], [3, 0, 0], [0, 1, 0],
+                                      [0, 0, 2]]}
+        path = files["root"] / "non_phi.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(["coxeter", "--type", "A3", "--weights",
+                            str(path)], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "NotAPhiPolytope"
+        p, r = refinement_witness(payload, obj)
+        # p is inside a Weyl chamber and r on its closure
+        rs = build_root_system("A3")
+        side = [sign(dot(rs.mirror(a), p)) for a in rs.int_positive]
+        assert all(side) and any(r)
+        assert all(sign(dot(rs.mirror(a), r)) * s >= 0
+                   for a, s in zip(rs.int_positive, side))
+
     def test_input_errors(self, files, capsys):
         cases = [["coxeter", "--type", "B3", "--basis"],
                  ["coxeter", "--type", "B2", "--permutahedron", "1,2,3"],
@@ -354,6 +401,128 @@ class TestCoxeter:
             main(["coxeter", "--type", "B2"])
         assert ei.value.code == 2
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the exit contract of the coxeter actions under mutated input
+
+
+def _phi_json(tag, point):
+    return polytope_to_json(phi_permutahedron(build_root_system(tag), point))
+
+
+FUZZ_POLYTOPES = {"B2": _phi_json("B2", (3, 1)),
+                  "A2": _phi_json("A2", (5, 2)),
+                  "A3": _phi_json("A3", (3, -1, 2))}
+
+junk_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-10**30, 10**30),
+    st.sampled_from(["1/2", "-3/4", "1/0", "2/-3", "x", "", "0.5", "3"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([{"a": 1, "b": 1, "d": 2}, {"a": 0, "b": "1/2", "d": 2},
+                     {"a": 1, "b": 0, "d": 2}, {"a": 1, "b": 1, "d": 3},
+                     {"a": 1, "b": 1}]),
+    st.lists(st.integers(-2, 2), max_size=3),
+)
+
+
+def _mutate(data, obj):
+    """One random edit of a polytope JSON object."""
+    verts = obj.get("vertices") if isinstance(obj, dict) else None
+    kind = data.draw(st.sampled_from(
+        ["coord", "coord", "shift", "scale", "drop", "duplicate", "collapse",
+         "extra_coord", "dim", "keys", "empty", "not_object"]))
+    if kind == "not_object":
+        return data.draw(st.one_of(junk_scalars, st.just([])))
+    if not isinstance(verts, list) or not verts or not all(
+            isinstance(v, list) and v for v in verts):
+        return obj
+    i = data.draw(st.integers(0, len(verts) - 1))
+    j = data.draw(st.integers(0, len(verts[i]) - 1))
+    if kind == "coord":
+        verts[i][j] = data.draw(junk_scalars)
+    elif kind == "shift" and isinstance(verts[i][j], int):
+        verts[i][j] += data.draw(st.integers(-3, 3))
+    elif kind == "scale":
+        k = data.draw(st.sampled_from([0, -1, 2, 3]))
+        obj["vertices"] = [[x * k if isinstance(x, int) else x for x in v]
+                           for v in verts]
+    elif kind == "drop":
+        del verts[i]
+    elif kind == "duplicate":
+        verts.append(list(verts[i]))
+    elif kind == "collapse":
+        obj["vertices"] = [list(verts[0]) for _ in verts]
+    elif kind == "extra_coord":
+        verts[i].append(0)
+    elif kind == "dim":
+        obj["dim"] = data.draw(junk_scalars)
+    elif kind == "keys":
+        obj[data.draw(st.sampled_from(["dim", "vertices", "extra"]))] = None
+    elif kind == "empty":
+        obj["vertices"] = []
+    return obj
+
+
+def _exit_code(argv):
+    """main's exit code with stdout and stderr captured; a traceback
+    propagates and fails the test."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv + ["-o", str(Path(tmp) / "out.json")])
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+        out = Path(tmp) / "out.json"
+        if code == 1:
+            assert "error" in json.loads(out.read_text())
+        elif code == 2:
+            assert "error" in json.loads(err.getvalue())
+    return code
+
+
+class TestCoxeterContractFuzz:
+    """Every mutated input exits 0, 1 or 2, never with a traceback."""
+
+    def _run_on_polytope(self, data, action, tags):
+        tag = data.draw(st.sampled_from(tags))
+        obj = json.loads(json.dumps(FUZZ_POLYTOPES[tag]))
+        for _ in range(data.draw(st.integers(1, 3))):
+            obj = _mutate(data, obj)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.json"
+            path.write_text(json.dumps(obj))
+            code = _exit_code(["coxeter", "--type", tag, action, str(path)])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_weights(self, data):
+        self._run_on_polytope(data, "--weights", ("B2", "A2", "A3"))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_expand(self, data):
+        self._run_on_polytope(data, "--expand", ("B2", "A2"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["B2", "A2", "A3"]),
+           st.one_of(
+               st.lists(st.one_of(
+                   st.integers(-5, 5).map(str),
+                   st.fractions(min_value=-5, max_value=5,
+                                max_denominator=6).map(str),
+                   st.sampled_from(["0", "1/0", "x", "", "nan", "inf",
+                                    "1e3", " 2", "--1", "1/2/3"])),
+                   max_size=4).map(",".join),
+               st.text(max_size=8)))
+    def test_permutahedron(self, tag, point):
+        code = _exit_code(["coxeter", "--type", tag,
+                           f"--permutahedron={point}"])
+        assert code in (0, 1, 2)
 
 
 def dilate_first_polytope(basis):

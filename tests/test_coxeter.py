@@ -8,6 +8,9 @@ same fans and weight spaces.
 """
 
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -34,6 +37,9 @@ from tropfactor.exact import (
     SQRT2,
     dot,
     field_rank,
+    nullspace_field,
+    primitive_of_rational,
+    scalar_sqrt,
     solve_linear,
     vadd,
     vscale,
@@ -578,3 +584,213 @@ class TestPhiPermutahedron:
     def test_field_base_point(self):
         P = phi_permutahedron(rsys("B2"), (1 + R2, 1))
         assert len(P.vertices) == 8
+
+
+# ---------------------------------------------------------------------------
+# the rational routes against the field routes they replaced: the weight
+# kernel over Q(sqrt(2)) and the walk along unit normals
+
+
+def reference_phi_rows(cf):
+    """The root-form rows over Q(sqrt(2)), entry by entry from the pairing."""
+    fan, rs = cf.fan, cf.rs
+    col = {k: i for i, k in enumerate(cf.wall_order)}
+    rows = []
+    for rk in sorted(cf.ridge_pairs):
+        pi = annihilator_lattice(fan.ridges[rk])
+        for j in (0, 1):
+            row = [Fraction(0)] * len(col)
+            for r, plus, minus in cf.ridge_pairs[rk]:
+                coeff = dot(pi[j], r) / rs.root_norm(r)
+                row[col[plus]] = row[col[plus]] + coeff
+                row[col[minus]] = row[col[minus]] - coeff
+            rows.append(tuple(row))
+    return rows
+
+
+def reference_basis_vectors(cf):
+    """ker R over the field, with the all-ones vector exchanged in at the
+    first kernel vector its coordinates use, then made non-negative."""
+    m = len(cf.wall_order)
+    kernel = nullspace_field(reference_phi_rows(cf), ncols=m)
+    ones = (Fraction(1),) * m
+    coords = solve_linear([tuple(v[i] for v in kernel) for i in range(m)],
+                          ones)
+    k = next(i for i, c in enumerate(coords) if c)
+    out = [ones]
+    for v in (v for i, v in enumerate(kernel) if i != k):
+        low = min(v)
+        if low < 0:
+            v = vadd(v, vscale(-low, ones))
+        out.append(demote_vector(v))
+    return out
+
+
+def direct_norm(rs, d):
+    return scalar_sqrt(dot(d, tuple(dot(row, d) for row in rs.pgram)))
+
+
+def reference_reconstruct(cf, w):
+    """Support integration stepping along p / |p| for every wall."""
+    def wall_normal(key, inward):
+        p = primitive_of_rational(inward)
+        nrm = direct_norm(cf.rs, p)
+        return demote_vector(x / nrm for x in p)
+
+    return reconstruct_from_fan(cf.fan, cf.weight_dict(w),
+                                wall_normal=wall_normal)
+
+
+def typed(v):
+    return tuple((x, type(x)) for x in v)
+
+
+def assert_same_polytope(P, Q):
+    """Equal vertices and facet rows, in value and in type."""
+    assert [typed(v) for v in P.vertices] == [typed(v) for v in Q.vertices]
+    assert P.dim() == Q.dim()
+
+    def rows(X):
+        return {(a, typed((b,))) for a, b in X.inequalities}
+
+    if P.dim() == P.n:
+        assert rows(P) == rows(Q)
+    else:
+        def facets(X):
+            return sorted(tuple(v for v in X.vertices if dot(a, v) == b)
+                          for a, b in X.inequalities)
+        assert facets(P) == facets(Q)
+
+
+def random_weights(rng, cf, basis):
+    coeffs = [rng.randint(-1, 3) for _ in basis.vectors]
+    return {k: sum((c * v[k] for c, v in zip(coeffs, basis.vectors)), 0)
+            for k in cf.wall_order}
+
+
+ROUTE_TYPES = ("A1", "A2", "A3", "B2")
+
+
+class TestRationalRoutesAgainstFieldRoutes:
+    @pytest.mark.parametrize("tag", ROUTE_TYPES)
+    def test_basis(self, tag):
+        cf = cfan(tag)
+        basis = phi_weight_cone_basis(cf)
+        ref = reference_basis_vectors(cf)
+        assert [typed(v) for v in basis.matrix()] == [typed(v) for v in ref]
+        for v, B in zip(ref, basis.polytopes):
+            assert_same_polytope(B, reference_reconstruct(cf, v))
+
+    @pytest.mark.parametrize("tag", ROUTE_TYPES)
+    def test_reconstruct_phi_on_random_combinations(self, tag):
+        cf = cfan(tag)
+        basis = phi_weight_cone_basis(cf)
+        rng = random.Random(tag)
+        for _ in range(40):
+            w = random_weights(rng, cf, basis)
+            assert_same_polytope(reconstruct_phi(cf, w),
+                                 reference_reconstruct(cf, w))
+
+    def test_irrational_type_a_weights_take_the_unit_walk(self):
+        cf = cfan("A2")
+        basis = phi_weight_cone_basis(cf)
+        rng = random.Random(3)
+        for _ in range(10):
+            w = {k: x * QuadExt(1, 1)
+                 for k, x in random_weights(rng, cf, basis).items()}
+            assert_same_polytope(reconstruct_phi(cf, w),
+                                 reference_reconstruct(cf, w))
+
+    def test_unbalanced_rational_weights_do_not_close_up(self):
+        cf = cfan("A3")
+        w = [0] * len(cf.wall_order)
+        w[0] = 1
+        with pytest.raises(NotBalanced):
+            reconstruct_phi(cf, w)
+
+    def test_mirror_units(self):
+        assert rsys("A1").mirror_unit == H
+        for tag in ("A2", "A3", "A4"):
+            assert rsys(tag).mirror_unit == R2
+        assert rsys("B2").mirror_unit is None
+
+    @pytest.mark.parametrize("tag", ("A1", "A2", "A3", "A4", "B2"))
+    def test_primal_norm_equals_the_direct_formula(self, tag):
+        rs = rsys(tag)
+        rng = random.Random(tag)
+        dirs = [(0,) * rs.n, (Fraction(0),) * rs.n]
+        for r in rs.int_roots:
+            m = rs.mirror(r)
+            dirs += [m, tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) * x
+                              for x in m)]
+        for _ in range(20):
+            dirs.append(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(rs.n)))
+            dirs.append(tuple(QuadExt(rng.randint(-2, 2), rng.randint(-2, 2))
+                              for _ in range(rs.n)))
+        checked = 0
+        for d in dirs:
+            try:
+                want = direct_norm(rs, d)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rs.primal_norm(d)
+                continue
+            got = rs.primal_norm(d)
+            assert got == want and type(got) is type(want), d
+            checked += 1
+        assert checked > len(rs.int_roots)
+
+
+class TestBasisChecksSurvivePythonO:
+    def test_checks_survive_python_O(self):
+        script = textwrap.dedent("""
+            from fractions import Fraction
+
+            import tropfactor.coxeter as coxeter
+            from tropfactor.exact import CertificateError
+
+            if __debug__:
+                raise SystemExit("asserts are on")
+            rs = coxeter.build_root_system("A2")
+            failures = 0
+
+            def expect_failure(call):
+                global failures
+                try:
+                    call()
+                except CertificateError:
+                    failures += 1
+
+            def pairs():
+                return coxeter.coxeter_fan(rs).ridge_pairs
+
+            def basis():
+                return coxeter.phi_weight_cone_basis(coxeter.coxeter_fan(rs))
+
+            annihilator = coxeter.annihilator_lattice
+            covector = coxeter.covector
+            nullspace = coxeter.nullspace_field
+            # a ridge with four annihilating functionals
+            coxeter.annihilator_lattice = lambda tau: annihilator(tau) * 2
+            expect_failure(pairs)
+            coxeter.annihilator_lattice = annihilator
+            # covectors in the ridge span: no root is transverse
+            coxeter.covector = lambda tau, W: (0, 0)
+            expect_failure(pairs)
+            coxeter.covector = covector
+            # unit vectors are not balanced
+            coxeter.nullspace_field = lambda rows, ncols: [
+                tuple(Fraction(int(i == j)) for j in range(ncols))
+                for i in range(ncols)]
+            expect_failure(basis)
+            # balanced vectors that miss the all-ones vector
+            coxeter.nullspace_field = lambda rows, ncols: nullspace(
+                rows, ncols)[:-1]
+            expect_failure(basis)
+            print(failures)
+            """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "4"

@@ -423,6 +423,110 @@ class TestPolytopeArithmeticAgainstReference:
                                   (SQRT2, Fraction(1, 2)), SQRT2)
 
 
+def reference_face(P, y):
+    """The argmax face of P in direction y by field dot products."""
+    vals = [dot(y, v) for v in P.vertices]
+    m = max(vals)
+    return [v for v, s in zip(P.vertices, vals) if s == m]
+
+
+def _query_directions(rng, P):
+    n = P.n
+    dirs = [(0,) * n, tuple(Fraction(0) for _ in range(n))]
+    for _ in range(4):
+        dirs.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+        dirs.append(tuple(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7]))
+                          for _ in range(n)))
+        dirs.append(tuple(QuadExt(rng.randint(-2, 2), rng.randint(-2, 2))
+                          for _ in range(n)))
+    # facet and affine-hull normals and their sums give tied maxima
+    normals = [a for a, _ in P.inequalities + P.equalities]
+    dirs += normals + [tuple(-x for x in a) for a, _ in P.equalities]
+    dirs += [vadd(a, b) for a, b in zip(normals, normals[1:])]
+    return dirs
+
+
+class TestIntegerFaceQueries:
+    """face_vertices on machine integers equals the field dot products."""
+
+    def check(self, rng, P):
+        for y in _query_directions(rng, P):
+            assert P.face_vertices(y) == reference_face(P, y), y
+
+    def test_random_rational_polytopes(self):
+        rng = random.Random(41)
+        for _ in range(80):
+            P = LatticePolytope(_random_points(rng, rng.choice([1, 2, 3])))
+            self.check(rng, P)
+            assert P._integer_vertices()
+
+    def test_lower_dimensional_polytopes(self):
+        rng = random.Random(43)
+        for pts in ([(Fraction(1, 2), 0, Fraction(1, 3)), (2, 1, 0)],
+                    [(0, 0, 1), (1, 0, 0), (0, 1, 0), (Fraction(1, 3),) * 3],
+                    [(Fraction(-3, 4), Fraction(5, 6))]):
+            P = LatticePolytope(pts)
+            assert P.dim() < P.n or len(P.vertices) == 1
+            self.check(rng, P)
+
+    def test_sqrt2_polytopes_and_maps(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            n = rng.choice([2, 3])
+            P = LatticePolytope(_random_sqrt2_points(rng, n))
+            self.check(rng, P)
+            Q = LatticePolytope(_random_points(rng, n))
+            for R in (Q.scale(SQRT2), Q.translate((SQRT2,) * n),
+                      Q.scale(Fraction(2, 3)).translate((1,) * n)):
+                self.check(rng, R)
+
+    def test_wrong_dimension_is_rejected(self):
+        P = LatticePolytope([(0, 0), (1, 2)])
+        with pytest.raises(DimensionMismatch):
+            P.face_vertices((1, 0, 0))
+
+
+def _row_set(rows):
+    return {(a, b, type(b)) for a, b in rows}
+
+
+class TestMappedRowsAreDemoted:
+    """Rows of scale and translate equal a fresh hull's, in value and type."""
+
+    def test_scaled_triangle(self):
+        Q = LatticePolytope([(0, 0), (2, 0), (0, 2)]).scale(
+            QuadExt(0, Fraction(1, 2)))
+        fresh = LatticePolytope(Q.vertices)
+        assert ((-1, 0), Fraction(0)) in Q.inequalities
+        assert _row_set(Q.inequalities) == _row_set(fresh.inequalities)
+
+    def test_random_maps(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.choice([1, 2, 3])
+            if rng.random() < 0.3:
+                P = LatticePolytope(_random_sqrt2_points(rng, n))
+            else:
+                P = LatticePolytope(_random_points(rng, n))
+            t = tuple(rng.choice([Fraction(rng.randint(-3, 3), 2),
+                                  QuadExt(rng.randint(-2, 2), 1)])
+                      for _ in range(n))
+            c = rng.choice([2, Fraction(1, 3), SQRT2,
+                            QuadExt(0, Fraction(1, 2)), QuadExt(1, 1)])
+            for Q in (P.translate(t), P.scale(c), P.scale(c).translate(t),
+                      P.translate(t).normalize_translation()):
+                fresh = LatticePolytope(Q.vertices)
+                assert Q.vertices == fresh.vertices
+                if Q.dim() == Q.n:
+                    assert (_row_set(Q.inequalities)
+                            == _row_set(fresh.inequalities))
+                for a, b in Q.inequalities + Q.equalities:
+                    assert not (isinstance(b, QuadExt) and b.b == 0)
+                    assert all(sign(dot(a, v) - b) <= 0 for v in Q.vertices)
+                for a, b in Q.equalities:
+                    assert all(dot(a, v) == b for v in Q.vertices)
+
+
 class TestHullWork:
     """Translation and positive scaling map known data; a hull is one DD."""
 
@@ -462,6 +566,23 @@ class TestHullWork:
             fan = P.normal_fan()
             assert fan.walls and fan.ridges is not None
             assert dd_calls == []
+
+    def test_reconstruct_phi_on_a3_hulls_rational_rows(self, monkeypatch):
+        cf = coxeter_fan(build_root_system("A3"))
+        cf.fan.wall_chambers  # derive the fan's cells first
+        rows = []
+        original = polyhedra.dd_cone
+
+        def recorded(constraints, n):
+            constraints = list(constraints)
+            rows.extend(a for a, _ in constraints)
+            return original(constraints, n)
+
+        monkeypatch.setattr(polyhedra, "dd_cone", recorded)
+        P = reconstruct_phi(cf, (2,) * len(cf.wall_order))
+        assert len(P.vertices) == 24
+        assert rows and all(isinstance(x, (int, Fraction))
+                            for a in rows for x in a)
 
     def test_reconstruct_phi_on_a3_is_one_dd(self, dd_calls):
         cf = coxeter_fan(build_root_system("A3"))
