@@ -55,6 +55,7 @@ from .minkowski import (
     NotRefined,
     WeightVector,
     certify_signed_sum,
+    chamber_vertices,
     wall_lengths,
 )
 from .polyhedra import (
@@ -564,16 +565,17 @@ def phi_expand(P: LatticePolytope, basis: FactorizationBasis) -> tuple:
 
     Existence holds because extended weights of a polytope are balanced
     and the basis spans the balanced space; uniqueness because the basis
-    is linearly independent.  The answer is verified as a signed
-    Minkowski identity P + sum(y_i^- B_i) = sum(y_i^+ B_i) before it is
-    returned.
+    is linearly independent.  y is read off r independent walls with
+    the basis's one inverse (FactorizationBasis.coordinates).  It is
+    verified as the signed Minkowski identity P + sum(y_i^- B_i) =
+    sum(y_i^+ B_i) up to translation on the vertex of every chamber of
+    the Coxeter fan (certify_signed_sum), which also covers the other
+    walls, before it is returned.
     """
     wp = wall_lengths(P, basis.fan, basis.length, NotAPhiPolytope)
-    cols = basis.matrix()
-    y = solve_linear([tuple(col[i] for col in cols)
-                      for i in range(len(basis.order))],
-                     [wp[k] for k in basis.order])
-    return demote_vector(certify_signed_sum(P, y, basis.polytopes))
+    table = chamber_vertices(P, basis.fan, NotAPhiPolytope)
+    return demote_vector(certify_signed_sum(table, basis.coordinates(wp),
+                                            basis))
 
 
 def phi_permutahedron(rs: RootSystem, x) -> LatticePolytope:

@@ -242,6 +242,19 @@ def reconstruct_from_fan(fan: Fan, weights: Dict,
     wall_normal overrides that (the Coxeter fans pass unit roots).  The
     result is translated so its lexicographically smallest vertex is the
     origin.  Signed weights are accepted; only loop closure is required.
+
+    With weights >= 0 the result knows its chamber table (see
+    LatticePolytope.chamber_table): the gradient of chamber C is the
+    vertex that maximizes the interior of C.  Loop closure makes the
+    integrated function h continuous, and crossing a wall into chamber
+    j adds weight * (inward normal of j) to the gradient, so h is at
+    least the linear extension of its neighbour on each side of every
+    wall.  A continuous piecewise-linear function on a complete fan
+    that is convex across every wall is convex, so h is the maximum of
+    its gradients: the support function of their hull, attained on the
+    interior of C only at the gradient of C.  The table is checked to
+    hit every vertex of the hull once more (CertificateError if not).
+    Signed weights get no table.
     """
     missing = [k for k in fan.walls if k not in weights]
     if missing:
@@ -272,5 +285,13 @@ def reconstruct_from_fan(fan: Fan, weights: Dict,
                 order.append(j)
     if len(grads) != len(fan.chambers):
         raise NotBalanced("chamber graph is disconnected")
-    P = LatticePolytope([demote_vector(v) for v in grads.values()])
+    table = [demote_vector(grads[i]) for i in range(len(fan.chambers))]
+    P = LatticePolytope(table)
+    if all(sign(weights[k]) >= 0 for k in fan.walls):
+        index = {v: i for i, v in enumerate(P.vertices)}
+        if set(table) != set(index):
+            raise CertificateError(
+                "the chamber gradients of a convex support function are "
+                "not the vertices of their hull")
+        P.chamber_table = (fan, tuple(index[v] for v in table))
     return P.normalize_translation()

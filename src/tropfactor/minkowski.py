@@ -12,6 +12,14 @@ weight vectors on its walls; a factorization basis is a non-negative
 lattice basis of its linear span, with one polytope per basis vector via
 support reconstruction.  Expansions of polytopes in such a basis are
 unique and integral, giving signed Minkowski identities.
+
+Everything about a polytope X whose normal fan a complete fan N refines
+is read off one vertex per chamber: on a chamber C the support function
+is h_X(x) = v_C(X).x, where v_C(X) is the vertex of X that maximizes the
+interior of C (chamber_vertices).  The weight of a wall between chambers
+C and D is the length of v_D(X) - v_C(X), and a signed Minkowski
+identity is checked chamber by chamber, with no sum and no hull (see
+certify_signed_sum).
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ from .exact import (
     integer_nullspace,
     nonnegative_basis,
     rational_content,
+    row_reduce,
     sign,
+    vscale,
     vsub,
 )
 from .division import (
@@ -37,9 +47,14 @@ from .division import (
     NotContained,
     divide,
     reconstruct_from_fan,
-    segment_length,
 )
-from .polyhedra import Fan, LatticePolytope, dd_cone, normalize_ray
+from .polyhedra import (
+    Fan,
+    LatticePolytope,
+    dd_cone,
+    is_rational_vector,
+    normalize_ray,
+)
 from .tropical import (
     TropicalPolynomial,
     balance_violation,
@@ -86,6 +101,11 @@ class NotPolytopal(TropfactorError):
 
 class TooLarge(TropfactorError):
     pass
+
+
+class IncompleteFan(TropfactorError):
+    """A wall of the fan lies on other than two chambers, or a chamber is
+    not full-dimensional."""
 
 
 MAX_CONES_ENV = "TROPFACTOR_MAX_CONES"
@@ -143,6 +163,33 @@ class FactorizationBasis:
         self.polytopes = polytopes
         self.order = sorted(fan.walls) if order is None else list(order)
         self.length = length
+        self._solver = None
+
+    def coordinates(self, weights: Dict) -> tuple:
+        """The y with sum_i y_i b_i = weights on r independent walls.
+
+        The first call row-reduces the basis matrix once and keeps r
+        walls whose rows are independent with the inverse of that r x r
+        block, so each call is one product.  The other walls are not
+        read: y matches the weights there only when they lie in the span
+        of the basis, which the caller's certificate checks.
+        CertificateError when the basis vectors are dependent.
+        """
+        if self._solver is None:
+            mat = self.matrix()
+            r = self.r
+            _, pivots = row_reduce(mat)
+            if len(pivots) != r:
+                raise CertificateError(
+                    "the vectors of a factorization basis are dependent")
+            unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+            red, _ = row_reduce([tuple(row[c] for row in mat) + unit[k]
+                                 for k, c in enumerate(pivots)])
+            self._solver = ([self.order[c] for c in pivots],
+                            [row[r:] for row in red])
+        walls, inverse = self._solver
+        w = [weights[k] for k in walls]
+        return tuple(dot(row, w) for row in inverse)
 
     @property
     def r(self) -> int:
@@ -156,34 +203,65 @@ class FactorizationBasis:
 # extended weights of a polytope on a fan
 
 
-def wall_lengths(P: LatticePolytope, fan: Fan, length: Callable,
-                 not_refined) -> Dict:
-    """Wall key -> length of the face of P dual to that wall of the fan.
+def chamber_vertices(P: LatticePolytope, fan: Fan, not_refined) -> tuple:
+    """The vertex of P that maximizes each chamber of the fan, in order.
 
     The fan must refine the normal fan of P, else not_refined (a
     NotRefined class) is raised: the face of P at an interior point of
     each chamber must stay on the face in the direction of every
     generator of the chamber, and the point and the first generator
-    that drops a vertex are the witness.  Then each wall meets a vertex
-    of P, of length zero, or an edge, measured with length.
+    that drops a vertex are the witness.  Such a face is then one
+    vertex v_C, for the face is orthogonal to the chamber, which must
+    be full-dimensional (IncompleteFan otherwise); and h_P(x) = v_C.x
+    on all of C.  The table is kept on P with its fan, and a polytope
+    that support reconstruction built on the fan comes with it (see
+    LatticePolytope.chamber_table).
     """
     if P.n != fan.n:
         raise ValueError("polytope and fan live in different dimensions")
-    for C in fan.chambers:
-        p = C.relative_interior_point()
-        F = set(P.face_vertices(p))
-        dirs = list(C.rays)
-        for l in C.lineality:
-            dirs.append(l)
-            dirs.append(tuple(-x for x in l))
-        for r in dirs:
-            if not F <= set(P.face_vertices(r)):
-                raise not_refined(
-                    "a chamber of the fan crosses a wall of the polytope's "
-                    "normal fan", {"point": p, "direction": r})
-    return {wk: segment_length(P.face_vertices(W.relative_interior_point()),
-                               length)
-            for wk, W in fan.walls.items()}
+    if P.chamber_table is None or P.chamber_table[0] is not fan:
+        faces = []
+        for C in fan.chambers:
+            p = C.relative_interior_point()
+            F = set(P.face_vertices(p))
+            dirs = list(C.rays)
+            for l in C.lineality:
+                dirs.append(l)
+                dirs.append(tuple(-x for x in l))
+            for r in dirs:
+                if not F <= set(P.face_vertices(r)):
+                    raise not_refined(
+                        "a chamber of the fan crosses a wall of the "
+                        "polytope's normal fan", {"point": p, "direction": r})
+            faces.append(F)
+        if any(len(F) != 1 for F in faces):
+            raise IncompleteFan("a chamber of the fan is not "
+                                "full-dimensional")
+        index = {v: i for i, v in enumerate(P.vertices)}
+        P.chamber_table = (fan, tuple(index[F.pop()] for F in faces))
+    return tuple(P.vertices[i] for i in P.chamber_table[1])
+
+
+def wall_lengths(P: LatticePolytope, fan: Fan, length: Callable,
+                 not_refined) -> Dict:
+    """Wall key -> length of the face of P dual to that wall of the fan.
+
+    The fan must refine the normal fan of P (see chamber_vertices for
+    the check and its witness).  A wall between chambers C and D then
+    has the face conv(v_C, v_D): the vertex v_C = v_D, of length zero,
+    or the edge between them, measured with length.  IncompleteFan when
+    a wall lies on other than two chambers.
+    """
+    table = chamber_vertices(P, fan, not_refined)
+    out = {}
+    for wk, sides in fan.wall_chambers.items():
+        if len(sides) != 2:
+            raise IncompleteFan(
+                f"a wall of the fan lies on {len(sides)} chambers, not two")
+        (i, _), (j, _) = sides
+        u, v = table[i], table[j]
+        out[wk] = Fraction(0) if u == v else length(vsub(v, u))
+    return out
 
 
 def extended_weights(Q: LatticePolytope, fan: Fan) -> WeightVector:
@@ -220,10 +298,13 @@ def factor(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     """The unique R with Q + R = P, or raise NotASummand with a witness.
 
     Works through tropical division of support functions; rational vertex
-    coordinates are handled by clearing denominators first.
+    coordinates are handled by clearing denominators first, and
+    irrational ones are a ValueError.
     """
     if P.n != Q.n:
         raise ValueError("ambient dimensions differ")
+    if not all(is_rational_vector(v) for X in (P, Q) for v in X.vertices):
+        raise ValueError("factor takes polytopes with rational vertices")
     m = _clear_scale([P, Q])
     Pm = P.scale(m) if m != 1 else P
     Qm = Q.scale(m) if m != 1 else Q
@@ -239,8 +320,10 @@ def factor(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
         raise NotASummand(("negative_weight", e.dual_edge, e.deficit),
                           f"edge {e.dual_edge} of P has weight deficit "
                           f"{e.deficit}") from e
-    assert all(c == 0 for c in h.terms.values()), (
-        "support functions have zero coefficients, so must their quotient")
+    if any(c != 0 for c in h.terms.values()):
+        raise CertificateError(
+            "the quotient of two support functions has a nonzero "
+            "coefficient")
     R = LatticePolytope(list(h.essential_terms()))
     if m != 1:
         R = R.scale(Fraction(1, m))
@@ -371,33 +454,44 @@ def weight_cone_basis(fan: Fan) -> FactorizationBasis:
     return FactorizationBasis(fan, weight_vectors, polys)
 
 
-def certify_signed_sum(P: LatticePolytope, y, polytopes) -> tuple:
-    """y, once P + sum(y_i^- B_i) = sum(y_i^+ B_i) holds up to translation.
+def certify_signed_sum(table, y, basis: FactorizationBasis) -> tuple:
+    """y, once P + sum(y_i^- B_i) = sum(y_i^+ B_i) + t holds for some t.
 
-    This signed Minkowski identity certifies an expansion y of P in a
-    basis with polytopes B_i, and with y = (1, 1) a decomposition
-    P = B_1 + B_2.  CertificateError when y is None (the weights of P
-    were not in the span of the basis) or the identity fails.
+    table is chamber_vertices(P, basis.fan, ...) and the B_i are the
+    basis polytopes.  The identity is checked on the vertex of every
+    chamber, with no Minkowski sum and no hull.  The basis fan is
+    complete and refines the normal fans of P and of every B_i, so on a
+    chamber C each support function is linear, h_X(x) = v_C(X).x.
+    Support functions add under Minkowski sums and scale under
+    dilations, and a polytope is fixed by its support function, so the
+    identity holds exactly when v_C(P) - sum(y_i v_C(B_i)) is one and
+    the same vector t on every chamber.  CertificateError when y is
+    None (the weights of P were not in the span of the basis), when a
+    basis polytope is not refined by the fan, or when the differences
+    disagree.
     """
     if y is None:
         raise CertificateError(
             "the wall weights lie outside the span of the basis")
-    lhs, rhs = P, None
-    for yi, B in zip(y, polytopes):
-        s = sign(yi)
-        if not s:
-            continue
-        # k-fold Minkowski sum of a convex polytope is its dilation by k
-        term = B if s * yi == 1 else B.scale(s * yi)
-        if s < 0:
-            lhs = lhs + term
-        else:
-            rhs = term if rhs is None else rhs + term
-    if rhs is None:
-        rhs = LatticePolytope([tuple(Fraction(0) for _ in range(P.n))])
-    if lhs.normalize_translation() != rhs.normalize_translation():
-        raise CertificateError(
-            "the signed Minkowski identity of the expansion fails")
+    terms = []
+    for c, B in zip(y, basis.polytopes):
+        if sign(c):
+            try:
+                terms.append((c, chamber_vertices(B, basis.fan, NotRefined)))
+            except NotRefined as e:
+                raise CertificateError(
+                    "the basis fan does not refine the normal fan of a "
+                    "basis polytope") from e
+    t = None
+    for k, v in enumerate(table):
+        for c, vertices in terms:
+            v = vsub(v, vscale(c, vertices[k]))
+        if t is None:
+            t = v
+        elif v != t:
+            raise CertificateError(
+                "the signed Minkowski identity of the expansion fails on "
+                "a chamber of the basis fan")
     return tuple(y)
 
 
@@ -405,8 +499,9 @@ def expand_in_basis(Q: LatticePolytope, basis: FactorizationBasis) -> tuple:
     """The unique integer y with w_Q^ = sum_i y_i b_i over the basis fan.
 
     Verified by the signed Minkowski identity Q + sum(y_i^- B_i) =
-    sum(y_i^+ B_i) up to translation.  NotRefined if the basis fan does
-    not refine the normal fan of Q; ValueError if an edge of Q has a
+    sum(y_i^+ B_i) up to translation, on the vertex of every chamber
+    (see certify_signed_sum).  NotRefined if the basis fan does not
+    refine the normal fan of Q; ValueError if an edge of Q has a
     non-integer lattice length, since y is then not integral.
     """
     wq = extended_weights(Q, basis.fan)
@@ -417,8 +512,8 @@ def expand_in_basis(Q: LatticePolytope, basis: FactorizationBasis) -> tuple:
             raise ValueError(f"an edge of the polytope has lattice length "
                              f"{q}; only integer lengths expand")
         vals.append(int(q))
-    return certify_signed_sum(Q, in_lattice(basis.matrix(), tuple(vals)),
-                              basis.polytopes)
+    return certify_signed_sum(chamber_vertices(Q, basis.fan, NotRefined),
+                              in_lattice(basis.matrix(), tuple(vals)), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +594,7 @@ def maximal_summand_pairs(P: LatticePolytope,
         for Rq, R2q in maximal_summand_pairs(Q, max_cones):
             R = _embed_from_span(Rq, B, P.n)
             R2 = _embed_from_span(R2q, B, P.n)
-            certify_signed_sum(P, (1, 1), (R, R2))
+            _certify_pair(P, R, R2)
             out.append((R, R2))
         return out
     fan, keys, wp, rays = _summand_cone_rays(P, max_cones)
@@ -517,10 +612,18 @@ def maximal_summand_pairs(P: LatticePolytope,
         if key in seen:
             continue
         seen.add(key)
-        certify_signed_sum(P, (1, 1), (R, R2))
+        _certify_pair(P, R, R2)
         pairs.append((R, R2))
     pairs.sort(key=lambda p: (p[0].vertices, p[1].vertices))
     return pairs
+
+
+def _certify_pair(P: LatticePolytope, R: LatticePolytope,
+                  R2: LatticePolytope):
+    """CertificateError unless R + R2 equals P up to translation."""
+    if (R + R2).normalize_translation() != P.normalize_translation():
+        raise CertificateError(
+            "a summand pair does not add up to the polytope")
 
 
 def complete_factorizations(P: LatticePolytope,

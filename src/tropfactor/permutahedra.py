@@ -21,7 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .exact import TropfactorError, same_lattice
+from .exact import CertificateError, TropfactorError, same_lattice
 from .minkowski import (
     FactorizationBasis,
     TooLarge,
@@ -440,6 +440,8 @@ def simplex_family_basis(n: int) -> FactorizationBasis:
         polys.append(Q)
     lattice, _ = balanced_weight_lattice(uf.fan)
     mat = [tuple(int(x) for x in w.values) for w in vectors]
-    assert same_lattice(mat, lattice), (
-        "the simplex faces span the balanced weight lattice of the fan")
+    if not same_lattice(mat, lattice):
+        raise CertificateError(
+            "the simplex faces do not span the balanced weight lattice of "
+            "the fan")
     return FactorizationBasis(uf.fan, vectors, polys)

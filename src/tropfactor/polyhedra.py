@@ -483,6 +483,12 @@ class LatticePolytope:
     when no other point lies on a superset of its facets.  Translation
     and positive scaling map this data without a hull, and a Minkowski
     sum takes hulls only of vertices of the sum (see __add__).
+
+    chamber_table is None or (fan, indices): for a complete fan that
+    refines the normal fan, the index in vertices of the vertex that
+    maximizes the interior of each chamber, in fan.chambers order (see
+    minkowski.chamber_vertices).  Translation and scaling keep it, since
+    they keep the order of the vertices.
     """
 
     def __init__(self, points: Iterable[Sequence]):
@@ -505,17 +511,20 @@ class LatticePolytope:
         self._tight = tuple(m for _, m in verts)
         self._facet_of = {a: j for j, (a, _) in enumerate(ineqs)}
         self._ints = None
+        self.chamber_table = None
 
     def _mapped(self, point, offset) -> "LatticePolytope":
         """The image under an order-preserving affine map of the points.
 
         point maps a vertex; offset(a, b) is the new right-hand side of
         the row a.x <= b (or = b), whose normal a is unchanged.  Vertices
-        and offsets are demoted as a fresh hull's are.
+        and offsets are demoted as a fresh hull's are.  The chamber table
+        indexes the vertices, so it carries over.
         """
         Q = object.__new__(LatticePolytope)
         Q.n = self.n
         Q.vertices = tuple(demote_vector(point(v)) for v in self.vertices)
+        Q.chamber_table = self.chamber_table
         Q.inequalities = [(a, _demote(offset(a, b)))
                           for a, b in self.inequalities]
         Q.equalities = [(a, _demote(offset(a, b))) for a, b in self.equalities]

@@ -525,6 +525,107 @@ class TestCoxeterContractFuzz:
         assert code in (0, 1, 2)
 
 
+def _fan_json(vertices):
+    from tropfactor.formats import weighted_fan_to_json
+    return weighted_fan_to_json(LatticePolytope(vertices).normal_fan())
+
+
+OCTAGON_VERTICES = [tuple(v) for v in S_OBJ["vertices"]]
+HEXAGON_VERTICES = [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)]
+TETRA_VERTICES = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+MINKOWSKI_POLYTOPES = [
+    S_OBJ, P1_OBJ, TRI_OBJ,
+    {"dim": 2, "vertices": [list(v) for v in HEXAGON_VERTICES]},
+    {"dim": 2, "vertices": [[0, 0], [2, -2]]},
+    {"dim": 3, "vertices": [list(v) for v in TETRA_VERTICES]}]
+MINKOWSKI_FANS = [_fan_json(OCTAGON_VERTICES), _fan_json(HEXAGON_VERTICES),
+                  _fan_json([(0, 0), (1, 0), (0, 1)]),
+                  _fan_json(TETRA_VERTICES)]
+
+
+def _mutate_fan(data, obj):
+    """One random edit of a fan JSON object."""
+    cones = obj.get("cones") if isinstance(obj, dict) else None
+    kind = data.draw(st.sampled_from(
+        ["normal", "normal", "flip", "drop_row", "drop_cone", "duplicate",
+         "eq", "rhs", "dim", "keys", "weights", "empty", "not_object"]))
+    if kind == "not_object":
+        return data.draw(st.one_of(junk_scalars, st.just([])))
+    if not isinstance(cones, list) or not cones or not all(
+            isinstance(c, list) and c and all(
+                isinstance(r, dict) and isinstance(r.get("normal"), list)
+                and r["normal"] for r in c) for c in cones):
+        return obj
+    i = data.draw(st.integers(0, len(cones) - 1))
+    j = data.draw(st.integers(0, len(cones[i]) - 1))
+    row = cones[i][j]
+    k = data.draw(st.integers(0, len(row["normal"]) - 1))
+    if kind == "normal":
+        row["normal"][k] = data.draw(st.one_of(junk_scalars,
+                                               st.integers(-3, 3)))
+    elif kind == "flip":
+        row["normal"] = [-x if isinstance(x, int) else x
+                         for x in row["normal"]]
+    elif kind == "drop_row":
+        del cones[i][j]
+    elif kind == "drop_cone":
+        del cones[i]
+    elif kind == "duplicate":
+        cones.append(json.loads(json.dumps(cones[i])))
+    elif kind == "eq":
+        row["eq"] = data.draw(st.one_of(st.booleans(), junk_scalars))
+    elif kind == "rhs":
+        row["rhs"] = data.draw(junk_scalars)
+    elif kind == "dim":
+        obj["dim"] = data.draw(junk_scalars)
+    elif kind == "keys":
+        obj[data.draw(st.sampled_from(["dim", "cones", "extra"]))] = None
+    elif kind == "weights":
+        obj["weights"] = data.draw(st.lists(junk_scalars, max_size=9))
+    elif kind == "empty":
+        obj["cones"] = []
+    return obj
+
+
+class TestMinkowskiContractFuzz:
+    """factor, basis and expand exit 0, 1 or 2 on mutated polytope and fan
+    files, never with a traceback."""
+
+    def _draw_file(self, data, tmp, name, fans):
+        pool = MINKOWSKI_POLYTOPES + (MINKOWSKI_FANS if fans else [])
+        obj = json.loads(json.dumps(data.draw(st.sampled_from(pool))))
+        for _ in range(data.draw(st.integers(0, 2))):
+            if isinstance(obj, dict) and "cones" in obj:
+                obj = _mutate_fan(data, obj)
+            else:
+                obj = _mutate(data, obj)
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def _run(self, data, command, names, fans):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [self._draw_file(data, tmp, name, fan)
+                     for name, fan in zip(names, fans)]
+            code = _exit_code([command] + paths)
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_factor(self, data):
+        self._run(data, "factor", ("p", "q"), (False, False))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_basis(self, data):
+        self._run(data, "basis", ("input",), (True,))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_expand(self, data):
+        self._run(data, "expand", ("polytope", "base"), (False, True))
+
+
 def dilate_first_polytope(basis):
     """The basis with its first polytope swapped for twice itself."""
     polys = [basis.polytopes[0].scale(2)] + list(basis.polytopes[1:])

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropfactor import coxeter
+from reference_routes import signed_sum_holds, wall_lengths_by_face_queries
+from tropfactor import coxeter, minkowski, polyhedra
 from tropfactor.coxeter import (
     CoxeterFan,
     NotAPhiPolytope,
@@ -47,7 +48,10 @@ from tropfactor.exact import (
 )
 from tropfactor.minkowski import (
     FactorizationBasis,
+    certify_signed_sum,
+    chamber_vertices,
     extended_weights,
+    wall_lengths,
     weight_cone_basis,
 )
 from tropfactor.permutahedra import canonical_subsets, simplex_polytope, universal_fan
@@ -537,6 +541,106 @@ class TestPhiExpand:
                                  order=basis.order, length=basis.length)
         with pytest.raises(CertificateError):
             phi_expand(P1, bad)
+
+
+def phi_basis(tag):
+    if ("basis", tag) not in _CACHE:
+        _CACHE[("basis", tag)] = phi_weight_cone_basis(cfan(tag))
+    return _CACHE[("basis", tag)]
+
+
+PERMUTAHEDRON_POINTS = {
+    "B2": [(3, 1), (Fraction(5, 2), Fraction(-1, 3))],
+    "A3": [(3, -1, 2), (Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5))]}
+
+
+def phi_test_polytopes(tag):
+    """Permutahedra and sums of basis polytopes of the type."""
+    basis = phi_basis(tag)
+    B = basis.polytopes
+    out = [phi_permutahedron(rsys(tag), x) for x in PERMUTAHEDRON_POINTS[tag]]
+    out += [B[0] + B[1], B[1] + B[-1]]
+    return out
+
+
+class TestChamberCertificate:
+    """The chamber certificate gives the verdicts of the hull route."""
+
+    def verdict(self, P, y, basis):
+        try:
+            certify_signed_sum(chamber_vertices(P, basis.fan, NotAPhiPolytope),
+                               y, basis)
+            return True
+        except CertificateError:
+            return False
+
+    @pytest.mark.parametrize("tag,trials", [("B2", 4), ("A3", 1)])
+    def test_verdicts_match_the_hull_reference(self, tag, trials):
+        basis = phi_basis(tag)
+        rng = random.Random(tag)
+        for P in phi_test_polytopes(tag)[:trials + 1]:
+            y = phi_expand(P, basis)
+            i = rng.randrange(basis.r)
+            perturbed = tuple(c + (i == j) * R2 for j, c in enumerate(y))
+            noise = tuple(QuadExt(rng.randint(-1, 1), rng.randint(-1, 1))
+                          for _ in range(basis.r))
+            cases = [(y, True), (perturbed, False)]
+            if tag == "B2":
+                cases.append((noise, False))
+            for z, want in cases:
+                assert self.verdict(P, z, basis) is want
+                assert signed_sum_holds(P, z, basis.polytopes) is want
+
+    def test_translated_basis_polytope_passes(self):
+        basis = phi_basis("B2")
+        polys = [B.translate((H, i)) for i, B in enumerate(basis.polytopes)]
+        moved = FactorizationBasis(basis.fan, basis.vectors, polys,
+                                   order=basis.order, length=basis.length)
+        for P in phi_test_polytopes("B2"):
+            assert phi_expand(P, moved) == phi_expand(P, basis)
+
+    def test_signed_reconstruction_has_no_table(self):
+        cf = cfan("B2")
+        basis = phi_basis("B2")
+        w = {k: a - b for k, a, b in zip(cf.wall_order,
+                                          basis.matrix()[2],
+                                          basis.matrix()[0])}
+        assert reconstruct_phi(cf, w).chamber_table is None
+        for B in basis.polytopes:
+            assert B.chamber_table[0] is cf.fan
+
+    @pytest.mark.parametrize("tag", ["B2", "A3"])
+    def test_wall_lengths_match_face_queries(self, tag):
+        cf = cfan(tag)
+        basis = phi_basis(tag)
+        for P in phi_test_polytopes(tag) + list(basis.polytopes[:3]):
+            assert wall_lengths(P, cf.fan, cf.rs.primal_norm,
+                                NotAPhiPolytope) == \
+                wall_lengths_by_face_queries(P, cf.fan, cf.rs.primal_norm)
+
+    def test_warm_a3_expansion_takes_no_hull_and_no_sum(self, monkeypatch):
+        basis = phi_basis("A3")
+        rs = rsys("A3")
+        phi_expand(phi_permutahedron(rs, (3, -1, 2)), basis)
+        P = phi_permutahedron(rs, (Fraction(1, 2), 4, Fraction(-7, 5)))
+        calls = {"dd_cone": 0, "__add__": 0}
+        real_dd, real_add = polyhedra.dd_cone, LatticePolytope.__add__
+
+        def dd(*args, **kwargs):
+            calls["dd_cone"] += 1
+            return real_dd(*args, **kwargs)
+
+        def add(self, other):
+            calls["__add__"] += 1
+            return real_add(self, other)
+
+        monkeypatch.setattr(polyhedra, "dd_cone", dd)
+        monkeypatch.setattr(minkowski, "dd_cone", dd)
+        monkeypatch.setattr(LatticePolytope, "__add__", add)
+        y = phi_expand(P, basis)
+        assert calls == {"dd_cone": 0, "__add__": 0}
+        monkeypatch.undo()
+        assert signed_sum_holds(P, y, basis.polytopes)
 
 
 class TestPhiPermutahedron:

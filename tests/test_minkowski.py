@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from reference_routes import signed_sum_holds, wall_lengths_by_face_queries
 from tropfactor import minkowski
-from tropfactor.exact import CertificateError, same_lattice
+from tropfactor.division import reconstruct_from_fan
+from tropfactor.exact import CertificateError, rational_content, same_lattice
 from tropfactor.minkowski import (
     FactorizationBasis,
+    IncompleteFan,
     NotASummand,
     NotPolytopal,
     NotRefined,
@@ -17,6 +20,7 @@ from tropfactor.minkowski import (
     WeightVector,
     balanced_weight_lattice,
     certify_signed_sum,
+    chamber_vertices,
     complete_factorizations,
     expand_in_basis,
     extended_weights,
@@ -27,9 +31,10 @@ from tropfactor.minkowski import (
     is_summand,
     maximal_summand_pairs,
     polytope_weights,
+    wall_lengths,
     weight_cone_basis,
 )
-from tropfactor.polyhedra import Fan, LatticePolytope
+from tropfactor.polyhedra import Fan, LatticePolytope, Polyhedron
 from tropfactor.tropical import TropicalPolynomial
 
 # the octagon with unit edge weights and its eight unit factors
@@ -67,6 +72,15 @@ def octagon_basis():
         _OCT_CACHE["fan"] = fan
         _OCT_CACHE["basis"] = weight_cone_basis(fan)
     return _OCT_CACHE["fan"], _OCT_CACHE["basis"]
+
+
+HEXAGON = LatticePolytope([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+
+
+def hexagon_basis():
+    if "hex" not in _OCT_CACHE:
+        _OCT_CACHE["hex"] = weight_cone_basis(HEXAGON.normal_fan())
+    return _OCT_CACHE["hex"]
 
 
 def random_polytope(rng, n, npts, box=4):
@@ -394,8 +408,10 @@ class TestCertificates:
             expand_in_basis(P1, dilated_basis(basis, i))
 
     def test_weights_outside_the_basis_span(self):
+        fan, basis = octagon_basis()
         with pytest.raises(CertificateError):
-            certify_signed_sum(P1, None, [])
+            certify_signed_sum(chamber_vertices(P1, fan, NotRefined), None,
+                               basis)
 
     def test_summand_pairs_reject_wrong_reassembly(self, monkeypatch):
         real = minkowski.reconstruct_from_fan
@@ -431,3 +447,176 @@ class TestCertificates:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised\n"
+
+    def test_quotient_and_simplex_checks_survive_stripped_asserts(self):
+        script = (
+            "from tropfactor import minkowski, permutahedra\n"
+            "from tropfactor.exact import CertificateError\n"
+            "from tropfactor.polyhedra import LatticePolytope\n"
+            "from tropfactor.tropical import TropicalPolynomial\n"
+            "if __debug__:\n"
+            "    raise SystemExit('asserts are on')\n"
+            "real = minkowski.divide\n"
+            "one = TropicalPolynomial({(0, 0): 1})\n"
+            "minkowski.divide = lambda f, g: real(f, g) * one\n"
+            "P = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])\n"
+            "Q = LatticePolytope([(0, 0), (1, 0)])\n"
+            "for call in (lambda: minkowski.factor(P, Q),\n"
+            "             lambda: permutahedra.simplex_family_basis(2)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except CertificateError:\n"
+            "        print('raised')\n"
+            "    permutahedra.same_lattice = lambda a, b: False\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\nraised\n"
+
+
+# ---------------------------------------------------------------------------
+# the chamber certificate against the hull route
+
+
+def chamber_verdict(P, y, basis):
+    """Does the chamber certificate accept y as an expansion of P?"""
+    try:
+        certify_signed_sum(chamber_vertices(P, basis.fan, NotRefined), y,
+                           basis)
+        return True
+    except CertificateError:
+        return False
+
+
+# summands refined by the octagon fan, and by the hexagon fan
+OCTAGON_PIECES = (B1, B2, B3, B4, B6, B7, T1, T2)
+HEXAGON_PIECES = (B1, B3, B4, B6, T1)
+
+
+def random_refined_sum(rng, pieces):
+    """A translated sum of up to three random multiples of the pieces."""
+    P = LatticePolytope([(rng.randint(-3, 3), rng.randint(-3, 3))])
+    for _ in range(rng.randint(1, 3)):
+        P = P + rng.choice(pieces).scale(rng.randint(1, 2))
+    return P
+
+
+class TestChamberCertificate:
+    @pytest.mark.parametrize("which", ["octagon", "hexagon"])
+    def test_verdicts_match_the_hull_reference(self, which):
+        if which == "octagon":
+            basis, pieces = octagon_basis()[1], OCTAGON_PIECES
+        else:
+            basis, pieces = hexagon_basis(), HEXAGON_PIECES
+        rng = random.Random(which)
+        verdicts = set()
+        for _ in range(12):
+            P = random_refined_sum(rng, pieces)
+            y = expand_in_basis(P, basis)
+            i = rng.randrange(basis.r)
+            perturbed = tuple(c + (i == j) * rng.choice((-1, 1))
+                              for j, c in enumerate(y))
+            noise = tuple(rng.randint(-2, 2) for _ in range(basis.r))
+            for z in (y, perturbed, noise):
+                got = chamber_verdict(P, z, basis)
+                assert got == signed_sum_holds(P, z, basis.polytopes)
+                verdicts.add(got)
+            assert chamber_verdict(P, y, basis)
+            assert not chamber_verdict(P, perturbed, basis)
+        assert verdicts == {True, False}
+
+    def test_translated_basis_polytope_passes(self):
+        _, basis = octagon_basis()
+        polys = [B.translate((i, -2 * i)) for i, B in
+                 enumerate(basis.polytopes)]
+        moved = FactorizationBasis(basis.fan, basis.vectors, polys,
+                                   order=basis.order, length=basis.length)
+        for P in (S, P1, P2, B7):
+            assert expand_in_basis(P, moved) == expand_in_basis(P, basis)
+
+    def test_basis_polytope_off_the_fan_is_a_certificate_error(self):
+        _, basis = octagon_basis()
+        y = expand_in_basis(P1, basis)
+        i = next(i for i, c in enumerate(y) if c)
+        polys = list(basis.polytopes)
+        polys[i] = LatticePolytope([(0, 0), (2, 1)])
+        bad = FactorizationBasis(basis.fan, basis.vectors, polys)
+        with pytest.raises(CertificateError):
+            expand_in_basis(P1, bad)
+
+    def test_reconstruction_carries_a_table_only_for_nonnegative_weights(self):
+        fan, basis = octagon_basis()
+        for w in basis.vectors:
+            B = reconstruct_from_fan(fan, w.by_key)
+            assert B.chamber_table[0] is fan
+            fresh = LatticePolytope(B.vertices)
+            assert chamber_vertices(B, fan, NotRefined) == \
+                chamber_vertices(fresh, fan, NotRefined)
+        signed = {k: a - b for k, a, b in zip(basis.order,
+                                              basis.vectors[1].values,
+                                              basis.vectors[0].values)}
+        assert any(v < 0 for v in signed.values())
+        R = reconstruct_from_fan(fan, signed)
+        assert R.chamber_table is None
+
+    def test_table_follows_translation_and_scaling(self):
+        fan, basis = octagon_basis()
+        B = basis.polytopes[2]
+        for X in (B.translate((5, -1)), B.scale(3), B.scale(Fraction(1, 2))):
+            assert chamber_vertices(X, fan, NotRefined) == \
+                chamber_vertices(LatticePolytope(X.vertices), fan, NotRefined)
+
+
+# ---------------------------------------------------------------------------
+# wall lengths from the chamber table against one face query per wall
+
+
+def lifted_fan(fan):
+    """The fan times a line: each chamber C of R^2 becomes C x R in R^3."""
+    return Fan([Polyhedron(3, [(a + (0,), b) for a, b in
+                               C.minimal_hrep()[0]])
+                for C in fan.chambers])
+
+
+class TestWallLengths:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_polytopes_on_the_fan_of_their_sum(self, n):
+        rng = random.Random(n)
+        for _ in range(8 if n == 2 else 4):
+            P = random_polytope(rng, n, rng.randint(3, 6), box=3)
+            Q = random_polytope(rng, n, rng.randint(2, 4), box=2)
+            total = P + Q
+            if total.dim() < n:
+                continue
+            fan = total.normal_fan()
+            for X in (P, Q, total):
+                assert wall_lengths(X, fan, rational_content, NotRefined) == \
+                    wall_lengths_by_face_queries(X, fan, rational_content)
+
+    def test_fan_with_lineality(self):
+        rng = random.Random(5)
+        fan, _ = octagon_basis()
+        fan3 = lifted_fan(fan)
+        assert all(C.lineality for C in fan3.chambers)
+        for _ in range(6):
+            P = random_refined_sum(rng, OCTAGON_PIECES)
+            z = rng.randint(-2, 2)
+            lifted = LatticePolytope([v + (z,) for v in P.vertices])
+            got = wall_lengths(lifted, fan3, rational_content, NotRefined)
+            assert got == wall_lengths_by_face_queries(lifted, fan3,
+                                                       rational_content)
+            assert sorted(got.values()) == sorted(
+                wall_lengths(P, fan, rational_content, NotRefined).values())
+
+    def test_wall_on_one_chamber_is_a_clean_error(self):
+        fan = LatticePolytope([(0, 0), (1, 0), (0, 1)]).normal_fan()
+        half = Fan(fan.chambers[:2])
+        with pytest.raises(IncompleteFan):
+            wall_lengths(LatticePolytope([(0, 0)]), half, rational_content,
+                         NotRefined)
+
+    def test_chamber_of_lower_dimension_is_a_clean_error(self):
+        line = Polyhedron(2, [], [((1, 0), Fraction(0))])
+        segment = LatticePolytope([(0, 0), (1, 0)])
+        with pytest.raises(IncompleteFan):
+            chamber_vertices(segment, Fan([line]), NotRefined)
