@@ -2,22 +2,27 @@
 
 A finite reflection arrangement in R^n cuts space into the chambers of
 the Coxeter fan; its walls lie on the mirror hyperplanes.  Weights on
-the walls are balanced in the root form: around every ridge A the two
-walls on a common mirror H_alpha form a pair (F+, F-), and balancedness
-asks that sum (w(F+) - w(F-)) alpha lies in the span of A.  Since the
-unit roots of the supported types live in Q(sqrt(2)), the whole weight
-cone is exact over that field; its kernel basis, made non-negative with
-the all-ones vector, plays the role the lattice factorization basis
-plays for rational fans.
+the walls are metric edge lengths: the weight of a Phi-polytope on a
+wall F is the length, in the primal metric, of the edge dual to F.  That
+edge pairs to zero with the span of F, so it is parallel to the
+primitive integer normal of F, and its metric length is l_F times its
+lattice length, where l_F is the primal norm of that normal.  Metric weights w
+are therefore balanced exactly when the lattice weights w_F / l_F are:
+the balance rows are the lattice balancing matrix Phi of the fan, the
+one every fan uses (tropical.balance_matrix), with column F divided by
+l_F.  The l_F lie in Q(sqrt(2)) for the supported types, so the whole
+weight cone is exact over that field; its kernel basis, made
+non-negative with the all-ones vector, plays the role the lattice
+factorization basis plays for rational fans.
 
 Most of the data are rational all the same: the fans, the chamber
 points and the vertices of the usual Phi-polytopes.  So the work runs
 over Q and Q(sqrt(2)) enters only where a value is irrational.  The
-weight kernel is taken of the rational part of the root-form rows and
-rescaled column by column; edge lengths of rational edges cost one
-square root per mirror direction; and in type A, where all primitive
-mirror directions have one primal norm u, support reconstruction of
-rational weights walks in lattice units and scales by 1/u at the end.
+weight kernel is taken of the integer matrix Phi and rescaled column by
+column; edge lengths of rational edges cost one square root per mirror
+direction; and in type A, where all primitive mirror directions have
+one primal norm u, support reconstruction of rational weights walks in
+lattice units and scales by 1/u at the end.
 
 Type A_n is coordinatized on the quotient of R^{n+1} by the diagonal:
 points of the fan's ambient space are the action coordinates (f_1, ...,
@@ -66,7 +71,7 @@ from .polyhedra import (
     is_rational_vector,
     normalize_ray,
 )
-from .tropical import annihilator_lattice, covector
+from .tropical import balance_matrix
 
 
 class UnsupportedType(TropfactorError):
@@ -251,8 +256,8 @@ class CoxeterFan:
     as tuples; for B2 it is the Cayley-graph order of the eight rays
     (W_t, W_s, sW_t, stW_s, stsW_t, tstW_s, tsW_t, tW_s) starting at the
     ray (1, 1) and going counterclockwise, for type A it is the sorted
-    canonical key order.  ridge_pairs exposes, per ridge, the mirror
-    pairing (alpha, F+, F-) used by the root form of balancing.
+    canonical key order.  balance_rows gives the balancing conditions of
+    metric wall weights over that order.
     """
 
     def __init__(self, rs: RootSystem, fan: Fan, wall_order, labels=None):
@@ -261,7 +266,6 @@ class CoxeterFan:
         self.wall_order = list(wall_order)
         self.labels = dict(labels) if labels is not None else None
         self.group_order = len(fan.chambers)
-        self._pairs = None
         self._rows = None
 
     # -- weights as dicts or tuples ---------------------------------------
@@ -281,92 +285,28 @@ class CoxeterFan:
     def weight_values(self, by_key) -> tuple:
         return tuple(by_key[k] for k in self.wall_order)
 
-    # -- mirror pairing per ridge ------------------------------------------
+    # -- balancing ----------------------------------------------------------
 
-    @property
-    def ridge_pairs(self):
-        """ridge key -> tuple of (integer root, F+ key, F- key)."""
-        self._compute_pairs()
-        return self._pairs
+    def balance_rows(self):
+        """(Phi, lengths): the metric balance rows are Phi . diag(1/lengths).
 
-    def _compute_pairs(self):
-        if self._pairs is not None:
-            return
-        fan, rs = self.fan, self.rs
-        mirrors = {r: rs.mirror(r) for r in rs.int_positive}
-        pairs = {}
-        for rk in sorted(fan.ridges):
-            tau = fan.ridges[rk]
-            pi = annihilator_lattice(tau)
-            if len(pi) != 2:
-                raise CertificateError(
-                    f"a ridge of the Coxeter fan has codimension {len(pi)}")
-            signed = {}
-            for wk in fan.ridge_walls[rk]:
-                W = fan.walls[wk]
-                p = W.relative_interior_point()
-                on = [r for r, m in mirrors.items() if dot(m, p) == 0]
-                if len(on) != 1:
-                    raise CertificateError(
-                        f"a wall of the Coxeter fan lies on {len(on)} "
-                        "mirrors, not on exactly one")
-                r = on[0]
-                c = covector(tau, W)
-                s = sign(dot(pi[0], r) * dot(pi[1], c)
-                         - dot(pi[1], r) * dot(pi[0], c))
-                if s == 0:
-                    raise CertificateError(
-                        f"the root {r} is not transverse to its mirror")
-                signed.setdefault(r, {})[s] = wk
-            entry = []
-            for r in rs.int_positive:
-                if r not in signed:
-                    continue
-                if set(signed[r]) != {1, -1}:
-                    raise CertificateError(
-                        f"the mirror of {r} carries walls of a ridge on "
-                        "one side only")
-                entry.append((r, signed[r][1], signed[r][-1]))
-            if 2 * len(entry) != len(fan.ridge_walls[rk]):
-                raise CertificateError(
-                    "the mirrors through a ridge do not pair its walls "
-                    "two by two")
-            pairs[rk] = tuple(entry)
-        self._pairs = pairs
-
-    def _root_form(self):
-        """(R0, norms): the stacked root-form maps phi^A are R0 . diag(1/norms).
-
-        One row per ridge A and annihilator functional pi of A, one column
-        per wall in wall_order.  A wall lies on exactly one mirror (as
-        _compute_pairs checks), so its column is the integer pi . alpha
-        divided by the norm of its root alpha; norms[j] is that norm, and
-        None for a wall on no ridge (only in A1).
+        Phi is the integer balancing matrix of the fan over wall_order
+        (tropical.balance_matrix) and lengths[j] the primal norm l_j of
+        the primitive inward normal of wall j: the edge dual to wall j is
+        parallel to that normal, so its metric length is l_j times its
+        lattice length (see the module docstring).
         """
         if self._rows is None:
-            self._compute_pairs()
-            col = {k: i for i, k in enumerate(self.wall_order)}
-            root_norm = {r: self.rs.root_norm(r) for r in self.rs.int_positive}
-            norms = [None] * len(col)
-            rows = []
-            for rk in sorted(self._pairs):
-                pi = annihilator_lattice(self.fan.ridges[rk])
-                for j in (0, 1):
-                    row = [0] * len(col)
-                    for r, plus, minus in self._pairs[rk]:
-                        c = dot(pi[j], r)
-                        row[col[plus]] += c
-                        row[col[minus]] -= c
-                        norms[col[plus]] = norms[col[minus]] = root_norm[r]
-                    rows.append(tuple(row))
-            self._rows = rows, norms
+            lengths = [self.rs.primal_norm(primitive_of_rational(
+                self.fan.wall_chambers[k][0][1])) for k in self.wall_order]
+            self._rows = balance_matrix(self.fan, self.wall_order), lengths
         return self._rows
 
-    def _phi_rows(self):
-        """The rows of phi^A over Q(sqrt(2)), as lists of (column, entry)."""
-        R0, norms = self._root_form()
-        return [[(j, x / norms[j]) for j, x in enumerate(row) if x]
-                for row in R0]
+    def metric_rows(self):
+        """The rows of Phi . diag(1/lengths), as lists of (column, entry)."""
+        Phi, lengths = self.balance_rows()
+        return [[(j, x / lengths[j]) for j, x in enumerate(row) if x]
+                for row in Phi]
 
     def __repr__(self):
         return (f"CoxeterFan({self.rs.tag!r}, {self.group_order} chambers, "
@@ -453,16 +393,15 @@ def coxeter_fan(rs: RootSystem) -> CoxeterFan:
 
 
 def root_balanced(cf: CoxeterFan, w) -> bool:
-    """Is w balanced in the root form around every ridge?
+    """Are the metric wall weights w balanced around every ridge?
 
-    Around a ridge A with mirror pairs (alpha_i, F_i+, F_i-) the test is
-    sum_i (w(F_i+) - w(F_i-)) alpha_i in span(A), checked through the
-    integer annihilator functionals of A, so the answer is exact for
-    weights in Q(sqrt(2)).
+    The test is cf.metric_rows() . w = 0: w_F / l_F are the lattice
+    lengths of the dual edges, and the lattice balancing matrix decides
+    them.  It is exact for weights in Q(sqrt(2)).
     """
     values = cf.weight_values(cf.weight_dict(w))
     return not any(sum(c * values[j] for j, c in row)
-                   for row in cf._phi_rows())
+                   for row in cf.metric_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +411,19 @@ def root_balanced(cf: CoxeterFan, w) -> bool:
 def phi_weight_cone_basis(cf: CoxeterFan) -> FactorizationBasis:
     """A basis of the balanced weight space, non-negative entry-wise.
 
-    The space is the kernel of the stacked root-form maps R over
-    Q(sqrt(2)).  R is R0 . diag(1/|alpha_j|) with R0 rational (see
-    CoxeterFan._root_form), so the kernel is computed over Q: a vector
-    z of ker R0 with free column f (its last non-zero entry) maps to
-    x_j = z_j |alpha_j| / |alpha_f|, which is the field kernel vector
-    of R with x_f = 1, since column scaling keeps the pivot columns.
-    Every x is checked against R over the field.  The all-ones vector is
-    balanced (each mirror pair contributes w(F+) - w(F-) = 0) and
+    The space is the kernel of the metric balance rows R = Phi .
+    diag(1/l) over Q(sqrt(2)), where Phi is the lattice balancing matrix
+    of the fan and l_j the primal norm of the primitive normal of wall j
+    (CoxeterFan.balance_rows).  The edge dual to a wall is parallel to
+    that normal, so a metric weight w_j is l_j times a lattice length,
+    and w is balanced exactly when (w_j / l_j) is in the kernel of Phi.
+    Phi is an integer matrix, so the kernel is computed over Q: a vector
+    z of ker Phi with free column f (its last non-zero entry) maps to
+    x_j = z_j l_j / l_f, which is the field kernel vector of R with
+    x_f = 1, since column scaling keeps the pivot columns.  Every x is
+    checked against R over the field.  The all-ones vector is balanced
+    (it is the weight vector of the orbit polytope of the point at
+    distance 1/2 from every wall of the fundamental chamber) and
     strictly positive; it is the sum of the kernel vectors, which is
     checked too, so it replaces the first of them, and adding multiples
     of it to the others yields a non-negative basis.  Each basis vector
@@ -488,18 +432,19 @@ def phi_weight_cone_basis(cf: CoxeterFan) -> FactorizationBasis:
     primal metric.
     """
     m = len(cf.wall_order)
-    R0, norms = cf._root_form()
+    Phi, lengths = cf.balance_rows()
     kernel = []
-    for z in nullspace_field(R0, ncols=m):
+    for z in nullspace_field(Phi, ncols=m):
         f = max(j for j, x in enumerate(z) if x)
         kernel.append(demote_vector(
-            x if not x or norms[j] == norms[f] else x * norms[j] / norms[f]
+            x if not x or lengths[j] == lengths[f]
+            else x * lengths[j] / lengths[f]
             for j, x in enumerate(z)))
-    rows = cf._phi_rows()
+    rows = cf.metric_rows()
     if any(sum(c * v[j] for j, c in row) for v in kernel for row in rows):
         raise CertificateError(
             "a vector of the rational weight kernel is not balanced in the "
-            "root form")
+            "metric rows")
     ones = tuple(Fraction(1) for _ in range(m))
     if not kernel or tuple(map(sum, zip(*kernel))) != ones:
         raise CertificateError(

@@ -55,12 +55,7 @@ from .polyhedra import (
     is_rational_vector,
     normalize_ray,
 )
-from .tropical import (
-    TropicalPolynomial,
-    balance_violation,
-    covector,
-    annihilator_lattice,
-)
+from .tropical import TropicalPolynomial, balance_matrix, balance_violation
 
 
 class NotASummand(TropfactorError):
@@ -381,32 +376,10 @@ def is_strict_balanced_coarsening(coarse_fan: Fan, coarse_w: WeightVector,
 # the weight cone and factorization bases
 
 
-def _phi_matrix(fan: Fan) -> Tuple[List[tuple], List]:
-    """Stack the maps phi^A over all ridges A, as rows over the wall order.
-
-    For each ridge, covectors of its star are expressed in a fixed basis
-    of Z^n / L_Z(A) (rank 2), contributing two integer rows.  The kernel
-    of the stacked matrix is the lattice of balanced weight vectors.
-    """
-    keys = sorted(fan.walls)
-    col = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for rk in sorted(fan.ridges):
-        tau = fan.ridges[rk]
-        funcs = annihilator_lattice(tau)
-        star = fan.ridge_walls[rk]
-        covs = {wk: covector(tau, fan.walls[wk]) for wk in star}
-        for f in funcs:
-            row = [0] * len(keys)
-            for wk in star:
-                row[col[wk]] = dot(f, covs[wk])
-            rows.append(tuple(row))
-    return rows, keys
-
-
 def balanced_weight_lattice(fan: Fan) -> Tuple[List[tuple], List]:
     """Lattice basis of all integer balanced weight vectors, plus wall order."""
-    rows, keys = _phi_matrix(fan)
+    keys = sorted(fan.walls)
+    rows = balance_matrix(fan, keys)
     if not rows:
         lat = [tuple(1 if j == i else 0 for j in range(len(keys)))
                for i in range(len(keys))]

@@ -18,19 +18,18 @@ a polytope minus a polytope exactly when W y >= 0.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .coxeter import build_root_system, coxeter_fan
 from .exact import CertificateError, TropfactorError, same_lattice
 from .minkowski import (
     FactorizationBasis,
     TooLarge,
-    WeightVector,
     balanced_weight_lattice,
     extended_weights,
     factor,
 )
-from .polyhedra import Fan, LatticePolytope, Polyhedron
+from .polyhedra import Fan, LatticePolytope
 
 
 class TooSmall(TropfactorError):
@@ -182,26 +181,6 @@ def root_direction(i: int, j: int, n: int) -> tuple:
     return quotient_point(z)
 
 
-def braid_functional(i: int, j: int, n: int) -> tuple:
-    """The braid hyperplane functional f_i - f_j in normal-fan coordinates.
-
-    Normal fans of quotient polytopes live in the dual space of
-    functionals vanishing on (1, ..., 1); its coordinates g are dual to
-    the quotient coordinates, with the last value recovered as
-    f_{n+1} = -(g_1 + ... + g_n).
-    """
-    out = [0] * n
-    if i <= n:
-        out[i - 1] += 1
-    else:
-        out = [x - 1 for x in out]
-    if j <= n:
-        out[j - 1] -= 1
-    else:
-        out = [x + 1 for x in out]
-    return tuple(out)
-
-
 def simplex_polytope(I: Iterable[int], n: int) -> LatticePolytope:
     """Delta_I = conv{e_i : i in I} in quotient coordinates."""
     pts = []
@@ -292,7 +271,7 @@ def weight_matrix(n: int, cap: int = 6) -> WeightMatrix:
 
 
 class UniversalFan:
-    """The braid fan in quotient coordinates with labeled walls."""
+    """The A_n Coxeter fan (the braid fan) with ordered-partition labels."""
 
     def __init__(self, n: int, fan: Fan, label_of: Dict, wall_of: Dict):
         self.n = n
@@ -320,25 +299,20 @@ def _partition_of_point(g: Sequence) -> OrderedPartition:
     return OrderedPartition(blocks)
 
 
-def universal_fan(n: int, cap: int = 4) -> UniversalFan:
-    """The type A_n universal fan with its cone-partition bijection.
+def universal_fan(n: int) -> UniversalFan:
+    """The A_n Coxeter fan, with its walls labeled by ordered partitions.
 
-    Chambers realize the strict orderings x_{s(1)} > ... > x_{s(n+1)};
-    each wall's relative interior determines an ordered partition with a
-    single doubleton, and this labeling is a bijection.
+    The fan is coxeter_fan of the root system A_n, whose chambers realize
+    the strict orderings x_{s(1)} > ... > x_{s(n+1)} of the coordinates;
+    each wall's relative interior determines an ordered partition of
+    [n+1] with a single doubleton, and this labeling is a bijection.
+    TooLarge above A_4, the largest supported type.
     """
     if n < 1:
         raise TooSmall("the universal fan needs n >= 1")
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the configured cap of {cap}")
-    chambers = []
-    for perm in itertools.permutations(range(1, n + 2)):
-        ineqs = []
-        for a, b in zip(perm, perm[1:]):
-            f = braid_functional(a, b, n)
-            ineqs.append((tuple(-x for x in f), Fraction(0)))
-        chambers.append(Polyhedron(n, ineqs))
-    fan = Fan(chambers)
+    if n > 4:
+        raise TooLarge(f"n = {n} exceeds the largest supported type A4")
+    fan = coxeter_fan(build_root_system(f"A{n}")).fan
     label_of = {}
     wall_of = {}
     for wk, W in fan.walls.items():

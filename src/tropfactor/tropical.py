@@ -23,7 +23,6 @@ from .exact import (
     CertificateError,
     TropfactorError,
     dot,
-    field_rank,
     in_lattice,
     integer_nullspace,
     nullspace_field,
@@ -394,6 +393,42 @@ def covector(tau: Polyhedron, sigma: Polyhedron):
     return c
 
 
+def ridge_stars(complex_like):
+    """(ridge key, functionals, covectors) for every ridge, in key order.
+
+    complex_like provides ridges, ridge_walls and walls in the shared
+    layout of TropicalComplex and Fan.  functionals is the saturated
+    basis of the integer functionals vanishing on the span of the ridge
+    (annihilator_lattice) and covectors maps each wall of its star to
+    covector(ridge, wall).  Weights w on the star are balanced at the
+    ridge exactly when sum_F w_F c_F lies in the span of the ridge, that
+    is when every functional vanishes on it.
+    """
+    for rk in sorted(complex_like.ridges):
+        tau = complex_like.ridges[rk]
+        yield rk, annihilator_lattice(tau), {
+            wk: covector(tau, complex_like.walls[wk])
+            for wk in complex_like.ridge_walls[rk]}
+
+
+def balance_matrix(complex_like, keys):
+    """The balancing conditions as integer rows over the wall order keys.
+
+    One row per ridge and functional f of ridge_stars, with the entry
+    f . c_F in the column of each wall F of the star: the kernel of the
+    stacked rows is the space of balanced weight vectors.
+    """
+    col = {k: i for i, k in enumerate(keys)}
+    rows = []
+    for _, funcs, covs in ridge_stars(complex_like):
+        for f in funcs:
+            row = [0] * len(col)
+            for wk, c in covs.items():
+                row[col[wk]] = dot(f, c)
+            rows.append(tuple(row))
+    return rows
+
+
 def balance_violation(complex_like, weights=None):
     """First unbalanced ridge of a weighted complex, or None if balanced.
 
@@ -401,7 +436,8 @@ def balance_violation(complex_like, weights=None):
     the shared layout of TropicalComplex and Fan.  weights may override
     the complex's own wall weights; its keys must be exactly the wall
     keys.  Returns (ridge key, excess vector) for the first ridge where
-    the weighted covector sum leaves the span of the ridge.
+    the weighted covector sum leaves the span of the ridge, which is
+    where a functional of ridge_stars does not vanish on it.
     """
     if weights is None:
         weights = complex_like.wall_weights
@@ -411,24 +447,15 @@ def balance_violation(complex_like, weights=None):
         raise WeightDomainMismatch(
             f"weights cover {len(weights)} cells, complex has "
             f"{len(complex_like.walls)} walls")
-    for rk in sorted(complex_like.ridges):
-        tau = complex_like.ridges[rk]
+    for rk, funcs, covs in ridge_stars(complex_like):
         total = None
-        for wk in complex_like.ridge_walls[rk]:
-            sig = complex_like.walls[wk]
-            c = covector(tau, sig)
+        for wk, c in covs.items():
             w = weights[wk]
             contrib = tuple(w * x for x in c)
             total = contrib if total is None else tuple(
                 a + b for a, b in zip(total, contrib))
-        if total is None:
-            continue
-        span = direction_lattice(tau)
-        if all(sign(x) == 0 for x in total):
-            continue
-        if span and field_rank(list(span) + [total]) == len(span):
-            continue
-        return rk, total
+        if total is not None and any(sign(dot(f, total)) for f in funcs):
+            return rk, total
     return None
 
 

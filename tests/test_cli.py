@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, witnesses, output formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -403,6 +404,24 @@ class TestCoxeter:
         capsys.readouterr()
 
 
+# sha256 of the stdout of `tropfactor coxeter --type T --basis`, which is
+# byte-deterministic across runs and hash seeds
+COXETER_BASIS_SHA256 = {
+    "A2": "6904db88c4eace614820d4e392cdcf4807e99aed8ac0af86dc61e00cdc799b54",
+    "A3": "1357f546bfdcb7e1e250871e67b4391f9f3946f25621c636d1984226e07fdc18",
+    "B2": "9d21ad12832af89d3931874a280394084e4e87ac98128f26f677a6c20419b73e",
+}
+
+
+class TestCoxeterBasisBytes:
+    @pytest.mark.parametrize("tag", sorted(COXETER_BASIS_SHA256))
+    def test_basis_output_is_pinned(self, tag, capsys):
+        code, out, _ = run(["coxeter", "--type", tag, "--basis"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            COXETER_BASIS_SHA256[tag]
+
+
 # ---------------------------------------------------------------------------
 # the exit contract of the coxeter actions under mutated input
 
@@ -624,6 +643,95 @@ class TestMinkowskiContractFuzz:
     @given(st.data())
     def test_expand(self, data):
         self._run(data, "expand", ("polytope", "base"), (False, True))
+
+
+FUZZ_POLYNOMIALS = [
+    F_OBJ, G_OBJ, TENT_F_OBJ, TENT_G_OBJ,
+    {"dim": 1, "terms": [{"exp": [0], "coef": 0}, {"exp": [2], "coef": 1},
+                         {"exp": [-1], "coef": "-1/2"}]},
+    {"dim": 3, "terms": [{"exp": [0, 0, 0], "coef": 0},
+                         {"exp": [1, 0, 0], "coef": 0},
+                         {"exp": [0, 1, 0], "coef": "-1/2"},
+                         {"exp": [0, 0, 1], "coef": 1}]}]
+
+
+def _mutate_polynomial(data, obj):
+    """One random edit of a polynomial JSON object."""
+    terms = obj.get("terms") if isinstance(obj, dict) else None
+    kind = data.draw(st.sampled_from(
+        ["coef", "coef", "exp", "shift", "extra_exp", "drop_exp", "dim",
+         "keys", "term_keys", "drop", "duplicate", "empty", "one_term",
+         "not_object"]))
+    if kind == "not_object":
+        return data.draw(st.one_of(junk_scalars, st.just([])))
+    if not isinstance(terms, list) or not terms or not all(
+            isinstance(t, dict) and isinstance(t.get("exp"), list)
+            and t["exp"] for t in terms):
+        return obj
+    i = data.draw(st.integers(0, len(terms) - 1))
+    term = terms[i]
+    j = data.draw(st.integers(0, len(term["exp"]) - 1))
+    if kind == "coef":
+        term["coef"] = data.draw(junk_scalars)
+    elif kind == "exp":
+        term["exp"][j] = data.draw(junk_scalars)
+    elif kind == "shift" and isinstance(term["exp"][j], int):
+        term["exp"][j] += data.draw(st.integers(-3, 3))
+    elif kind == "extra_exp":
+        term["exp"].append(0)
+    elif kind == "drop_exp":
+        del term["exp"][j]
+    elif kind == "dim":
+        obj["dim"] = data.draw(st.one_of(junk_scalars, st.integers(0, 4)))
+    elif kind == "keys":
+        obj[data.draw(st.sampled_from(["dim", "terms", "extra"]))] = None
+    elif kind == "term_keys":
+        key = data.draw(st.sampled_from(["exp", "coef", "extra"]))
+        if data.draw(st.booleans()):
+            term.pop(key, None)
+        else:
+            term[key] = None
+    elif kind == "drop":
+        del terms[i]
+    elif kind == "duplicate":
+        terms.append(json.loads(json.dumps(term)))
+    elif kind == "empty":
+        obj["terms"] = []
+    elif kind == "one_term":
+        obj["terms"] = [term]
+    return obj
+
+
+class TestPolynomialContractFuzz:
+    """divide and plot exit 0, 1 or 2 on mutated polynomial files, never
+    with a traceback; the two polynomials may differ in dimension."""
+
+    def _draw_file(self, data, tmp, name):
+        obj = json.loads(json.dumps(data.draw(st.sampled_from(
+            FUZZ_POLYNOMIALS))))
+        for _ in range(data.draw(st.integers(0, 2))):
+            obj = _mutate_polynomial(data, obj)
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_divide(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = _exit_code(["divide", self._draw_file(data, tmp, "f"),
+                               self._draw_file(data, tmp, "g")])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_plot(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["plot", self._draw_file(data, tmp, "f")]
+            if data.draw(st.booleans()):
+                argv += ["--divisor", self._draw_file(data, tmp, "g")]
+            code = _exit_code(argv)
+        assert code in (0, 1, 2)
 
 
 def dilate_first_polytope(basis):

@@ -15,7 +15,11 @@ from fractions import Fraction
 
 import pytest
 
-from reference_routes import signed_sum_holds, wall_lengths_by_face_queries
+from reference_routes import (
+    root_form_rows,
+    signed_sum_holds,
+    wall_lengths_by_face_queries,
+)
 from tropfactor import coxeter, minkowski, polyhedra
 from tropfactor.coxeter import (
     CoxeterFan,
@@ -66,7 +70,8 @@ _CACHE = {}
 
 # ---------------------------------------------------------------------------
 # the unit-covector form of balancing: an independent reference route for
-# root_balanced, which the library implements through the mirror pairing
+# root_balanced, which the library implements through the lattice
+# balancing matrix with metric columns
 
 
 def covector_balanced(cf: CoxeterFan, w) -> bool:
@@ -228,8 +233,9 @@ class TestCoxeterFanB2:
 
     def test_ridge_pairing(self):
         cf = cfan("B2")
-        assert len(cf.ridge_pairs) == 1
-        (pairs,) = cf.ridge_pairs.values()
+        ridge_pairs = root_form_rows(cf).pairs
+        assert len(ridge_pairs) == 1
+        (pairs,) = ridge_pairs.values()
         assert len(pairs) == 4  # one pair of walls per positive root
         seen = {}
         for r, plus, minus in pairs:
@@ -243,8 +249,9 @@ class TestCoxeterFanB2:
 
     def test_star_size_is_twice_the_mirror_count(self):
         cf = cfan("B2")
-        (rk,) = cf.ridge_pairs
-        assert len(cf.fan.ridge_walls[rk]) == 2 * len(cf.ridge_pairs[rk])
+        ridge_pairs = root_form_rows(cf).pairs
+        (rk,) = ridge_pairs
+        assert len(cf.fan.ridge_walls[rk]) == 2 * len(ridge_pairs[rk])
 
 
 class TestCoxeterFanTypeA:
@@ -697,19 +704,9 @@ class TestPhiPermutahedron:
 
 def reference_phi_rows(cf):
     """The root-form rows over Q(sqrt(2)), entry by entry from the pairing."""
-    fan, rs = cf.fan, cf.rs
-    col = {k: i for i, k in enumerate(cf.wall_order)}
-    rows = []
-    for rk in sorted(cf.ridge_pairs):
-        pi = annihilator_lattice(fan.ridges[rk])
-        for j in (0, 1):
-            row = [Fraction(0)] * len(col)
-            for r, plus, minus in cf.ridge_pairs[rk]:
-                coeff = dot(pi[j], r) / rs.root_norm(r)
-                row[col[plus]] = row[col[plus]] + coeff
-                row[col[minus]] = row[col[minus]] - coeff
-            rows.append(tuple(row))
-    return rows
+    form = root_form_rows(cf)
+    return [tuple(Fraction(0) if not x else x / form.norms[j]
+                  for j, x in enumerate(row)) for row in form.rows]
 
 
 def reference_basis_vectors(cf):
@@ -846,6 +843,38 @@ class TestRationalRoutesAgainstFieldRoutes:
         assert checked > len(rs.int_roots)
 
 
+class TestMetricRowsAgainstRootForm:
+    """The lattice balancing matrix with metric columns against the mirror
+    pairing it replaced."""
+
+    @pytest.mark.parametrize("tag", ROUTE_TYPES)
+    def test_same_kernel(self, tag):
+        cf = cfan(tag)
+        m = len(cf.wall_order)
+        metric = []
+        for row in cf.metric_rows():
+            dense = [Fraction(0)] * m
+            for j, x in row:
+                dense[j] = x
+            metric.append(tuple(dense))
+        assert nullspace_field(metric, ncols=m) == \
+            nullspace_field(reference_phi_rows(cf), ncols=m)
+        Phi, _ = cf.balance_rows()
+        assert nullspace_field(Phi, ncols=m) == \
+            nullspace_field(root_form_rows(cf).rows, ncols=m)
+
+    @pytest.mark.parametrize("tag", ROUTE_TYPES)
+    def test_wall_lengths_are_the_root_norms(self, tag):
+        cf = cfan(tag)
+        _, lengths = cf.balance_rows()
+        norms = root_form_rows(cf).norms
+        on_ridges = [j for j, nrm in enumerate(norms) if nrm is not None]
+        # every wall lies on a ridge, except the one wall of A1
+        assert len(on_ridges) == (len(norms) if cf.fan.ridges else 0)
+        for j in on_ridges:
+            assert lengths[j] == norms[j], cf.wall_order[j]
+
+
 class TestBasisChecksSurvivePythonO:
     def test_checks_survive_python_O(self):
         script = textwrap.dedent("""
@@ -866,23 +895,10 @@ class TestBasisChecksSurvivePythonO:
                 except CertificateError:
                     failures += 1
 
-            def pairs():
-                return coxeter.coxeter_fan(rs).ridge_pairs
-
             def basis():
                 return coxeter.phi_weight_cone_basis(coxeter.coxeter_fan(rs))
 
-            annihilator = coxeter.annihilator_lattice
-            covector = coxeter.covector
             nullspace = coxeter.nullspace_field
-            # a ridge with four annihilating functionals
-            coxeter.annihilator_lattice = lambda tau: annihilator(tau) * 2
-            expect_failure(pairs)
-            coxeter.annihilator_lattice = annihilator
-            # covectors in the ridge span: no root is transverse
-            coxeter.covector = lambda tau, W: (0, 0)
-            expect_failure(pairs)
-            coxeter.covector = covector
             # unit vectors are not balanced
             coxeter.nullspace_field = lambda rows, ncols: [
                 tuple(Fraction(int(i == j)) for j in range(ncols))
@@ -897,4 +913,4 @@ class TestBasisChecksSurvivePythonO:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "4"
+        assert proc.stdout.strip() == "2"

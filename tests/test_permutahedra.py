@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from tropfactor.coxeter import build_root_system
 from tropfactor.exact import primitive_of_rational, same_lattice
 from tropfactor.polyhedra import LatticePolytope
 from tropfactor.minkowski import (
@@ -18,7 +19,6 @@ from tropfactor.permutahedra import (
     NotRestricting,
     OrderedPartition,
     TooSmall,
-    braid_functional,
     canonical_subsets,
     deformation_cone_contains,
     deformation_cone_violations,
@@ -269,8 +269,10 @@ class TestUniversalFan:
     def test_the_12_3_wall_sits_on_the_right_side(self):
         uf = braid(2)
         g = uf.wall_of[P((1, 2), (3,))][1][0]
-        f12 = braid_functional(1, 2, 2)
-        f13 = braid_functional(1, 3, 2)
+        rs = build_root_system("A2")
+        # the mirrors of e_1 - e_2 and e_1 - e_3 in quotient coordinates
+        f12 = rs.mirror((1, -1))
+        f13 = rs.mirror((1, 0))
         assert sum(a * x for a, x in zip(f12, g)) == 0
         assert sum(a * x for a, x in zip(f13, g)) > 0
 
