@@ -66,8 +66,6 @@ def _jsonable(x):
 def _error_payload(e: TropfactorError) -> dict:
     out = {"error": type(e).__name__, "message": str(e)}
     if isinstance(e, NotContained):
-        point = "(" + ", ".join(str(Fraction(x)) for x in e.witness) + ")"
-        out["message"] = f"variety not contained; separating point {point}"
         out["witness"] = {"point": formats.encode_vector(e.witness)}
     elif isinstance(e, NegativeWeight):
         out["witness"] = {"dual_edge": _jsonable(e.dual_edge),

@@ -37,7 +37,7 @@ from .exact import (
     vadd,
     vsub,
 )
-from .polyhedra import Fan, LatticePolytope, demote_vector, rref_basis
+from .polyhedra import Fan, LatticePolytope, demote_vector
 from .tropical import TropicalComplex, TropicalPolynomial
 
 
@@ -46,7 +46,13 @@ class NotContained(TropfactorError):
 
     def __init__(self, witness):
         self.witness = witness
-        super().__init__(f"variety not contained; separating point {witness}")
+        super().__init__(
+            f"variety not contained; separating point {point_text(witness)}")
+
+
+def point_text(x) -> str:
+    """A rational point as text: (-1, 1/2)."""
+    return "(" + ", ".join(str(Fraction(c)) for c in x) + ")"
 
 
 class NegativeWeight(TropfactorError):
@@ -159,38 +165,56 @@ def variety_contained(g: TropicalPolynomial, f: TropicalPolynomial) -> bool:
 # weight extension and division
 
 
+def chamber_winners(g: TropicalPolynomial, Tf: TropicalComplex) -> list:
+    """g's unique maximal term at the interior point of each chamber of Tf.
+
+    CertificateError on a tie: the chamber then meets V(g), which a
+    caller that has checked containment never sees.
+    """
+    out = []
+    for a, D in zip(Tf.chamber_terms, Tf.chambers):
+        p = D.relative_interior_point()
+        arg = g.argmax(p)
+        if len(arg) != 1:
+            raise CertificateError(
+                f"the chamber of {a} meets the variety of g at {p}")
+        out.append(arg[0])
+    return out
+
+
+def edge_lengths(wall_chambers, table, length: Callable) -> Dict:
+    """Wall key -> length of table[j] - table[i], 0 where they agree.
+
+    wall_chambers maps each wall to its two sides (i, _), (j, _), in the
+    layout of Fan and TropicalComplex; table holds one point per chamber.
+    """
+    return {wk: Fraction(0) if table[i] == table[j]
+            else length(vsub(table[j], table[i]))
+            for wk, ((i, _), (j, _)) in wall_chambers.items()}
+
+
 def extend_weights(f: TropicalPolynomial, g: TropicalPolynomial,
-                   Tf: Optional[TropicalComplex] = None) -> Dict:
+                   Tf: Optional[TropicalComplex] = None,
+                   winners: Optional[list] = None) -> Dict:
     """The extension of w_g to the walls of T(f).
 
-    A wall of T(f) inside a wall of T(g) inherits that wall's weight;
-    walls off the variety of g get weight zero.  Requires V(g) inside
-    V(f), which makes each wall of T(f) fall entirely on one side.
+    Requires V(g) inside V(f).  An open chamber C of T(f) then misses
+    V(g), so one term b_C of g is maximal on all of it: its winner at
+    the interior point (chamber_winners; divide passes in the winners
+    it has already read).  A small ball around an interior point p of
+    the wall between chambers C and D lies in C and D, where g is the
+    affine function of b_C or of b_D.  If b_C = b_D, g is affine near
+    p, the wall is off V(g) and gets weight 0.  Otherwise p lies on a
+    wall of T(g) whose dual edge in g's subdivision joins b_C and b_D,
+    and the wall inherits its lattice length |b_D - b_C|.  The same
+    rule measures the walls of a fan refining a polytope's normal fan
+    (minkowski.wall_lengths); both go through edge_lengths.
     """
     if Tf is None:
         Tf = f.dual_complex()
-    return {wk: segment_length(g.argmax(sigma.relative_interior_point()),
-                               rational_content)
-            for wk, sigma in Tf.walls.items()}
-
-
-def segment_length(points, length: Callable):
-    """The length of the segment spanned by distinct points, 0 for one point.
-
-    The points are the maximizers of a linear form on a wall of a fan or
-    complex that refines the points' own normal fan, so they are
-    collinear; CertificateError when they are not.  Collinear points
-    sort along their line, so the ends come first and last.
-    """
-    if len(points) == 1:
-        return Fraction(0)
-    pts = sorted(points)
-    u = pts[0]
-    if len(pts) > 2 and len(rref_basis([vsub(v, u) for v in pts[1:]])) != 1:
-        raise CertificateError(
-            f"the maximizers {pts} on a wall of a refining fan are not "
-            "collinear")
-    return length(vsub(pts[-1], u))
+    if winners is None:
+        winners = chamber_winners(g, Tf)
+    return edge_lengths(Tf.wall_chambers, winners, rational_content)
 
 
 def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
@@ -206,18 +230,13 @@ def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
     witness = variety_containment_witness(g, f, Tf)
     if witness is not None:
         raise NotContained(witness)
-    wup = extend_weights(f, g, Tf)
+    winners = chamber_winners(g, Tf)
+    wup = extend_weights(f, g, Tf, winners)
     for wk in sorted(Tf.walls):
         if Tf.wall_weights[wk] < wup[wk]:
             raise NegativeWeight(Tf.wall_duals[wk], Tf.wall_weights[wk], wup[wk])
     terms = {}
-    for i, a in enumerate(Tf.chamber_terms):
-        p = Tf.chambers[i].relative_interior_point()
-        arg = g.argmax(p)
-        if len(arg) != 1:
-            raise CertificateError(
-                f"the chamber of {a} meets the variety of g at {p}")
-        b = arg[0]
+    for a, b in zip(Tf.chamber_terms, winners):
         e = vsub(a, b)
         c = f.terms[a] - g.terms[b]
         if e not in terms or c > terms[e]:

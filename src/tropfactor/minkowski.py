@@ -46,6 +46,8 @@ from .division import (
     NegativeWeight,
     NotContained,
     divide,
+    edge_lengths,
+    point_text,
     reconstruct_from_fan,
 )
 from .polyhedra import (
@@ -248,15 +250,11 @@ def wall_lengths(P: LatticePolytope, fan: Fan, length: Callable,
     a wall lies on other than two chambers.
     """
     table = chamber_vertices(P, fan, not_refined)
-    out = {}
-    for wk, sides in fan.wall_chambers.items():
+    for sides in fan.wall_chambers.values():
         if len(sides) != 2:
             raise IncompleteFan(
                 f"a wall of the fan lies on {len(sides)} chambers, not two")
-        (i, _), (j, _) = sides
-        u, v = table[i], table[j]
-        out[wk] = Fraction(0) if u == v else length(vsub(v, u))
-    return out
+    return edge_lengths(fan.wall_chambers, table, length)
 
 
 def extended_weights(Q: LatticePolytope, fan: Fan) -> WeightVector:
@@ -310,7 +308,7 @@ def factor(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     except NotContained as e:
         raise NotASummand(("not_refining", e.witness),
                           f"normal fan of P does not refine that of Q "
-                          f"(witness direction {e.witness})") from e
+                          f"(witness direction {point_text(e.witness)})") from e
     except NegativeWeight as e:
         raise NotASummand(("negative_weight", e.dual_edge, e.deficit),
                           f"edge {e.dual_edge} of P has weight deficit "
@@ -475,8 +473,11 @@ def expand_in_basis(Q: LatticePolytope, basis: FactorizationBasis) -> tuple:
     sum(y_i^+ B_i) up to translation, on the vertex of every chamber
     (see certify_signed_sum).  NotRefined if the basis fan does not
     refine the normal fan of Q; ValueError if an edge of Q has a
-    non-integer lattice length, since y is then not integral.
+    non-integer lattice length, since y is then not integral, or a
+    vertex off Q^n, where lattice lengths are not defined.
     """
+    if not all(is_rational_vector(v) for v in Q.vertices):
+        raise ValueError("expand takes polytopes with rational vertices")
     wq = extended_weights(Q, basis.fan)
     vals = []
     for k in basis.order:

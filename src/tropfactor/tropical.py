@@ -23,12 +23,12 @@ from .exact import (
     CertificateError,
     TropfactorError,
     dot,
-    in_lattice,
     integer_nullspace,
-    nullspace_field,
+    primitive_of_rational,
     rational_content,
     sign,
-    solve_linear,
+    vadd,
+    vscale,
     vsub,
 )
 from .polyhedra import (
@@ -325,106 +325,70 @@ class TropicalComplex:
 # balancing
 
 
-def _direction_span(cell: Polyhedron):
-    """Reduced basis of the direction space of a cell's affine span."""
-    verts = cell.vertices
-    return rref_basis([vsub(v, verts[0]) for v in verts[1:]]
-                      + list(cell.rays) + list(cell.lineality))
-
-
-def direction_lattice(cell: Polyhedron):
-    """Saturated integer basis of the direction space of a cell's affine span."""
-    span = _direction_span(cell)
-    if not span:
-        return []
-    funcs = nullspace_field(list(span), ncols=cell.n)
-    if not funcs:
-        # full-dimensional span: the whole lattice
-        return [tuple(1 if j == i else 0 for j in range(cell.n))
-                for i in range(cell.n)]
-    return integer_nullspace([integer_row(f) for f in funcs])
-
-
 def annihilator_lattice(cell: Polyhedron):
     """Saturated basis of the integer functionals vanishing on L(cell)."""
-    span = _direction_span(cell)
+    verts = cell.vertices
+    span = rref_basis([vsub(v, verts[0]) for v in verts[1:]]
+                      + list(cell.rays) + list(cell.lineality))
     if not span:
         return [tuple(1 if j == i else 0 for j in range(cell.n))
                 for i in range(cell.n)]
     return integer_nullspace([integer_row(r) for r in span])
 
 
-def covector(tau: Polyhedron, sigma: Polyhedron):
-    """Primitive generator of L(sigma)/L(tau) pointing from tau into sigma.
+def covector(tau: Polyhedron, sigma: Polyhedron, functionals):
+    """The primitive vector u_{sigma/tau}, in the quotient coordinates of tau.
 
-    The returned integer vector lies in the direction lattice of sigma and
-    its class generates the quotient by the direction lattice of tau; it is
-    well defined up to elements of L(tau), which is all the balancing
-    condition needs.
+    functionals is annihilator_lattice(tau), a saturated basis A of the
+    integer functionals vanishing on L(tau).  Write L_Z for the lattice
+    points of a direction space.  Being saturated, x -> A.x maps Z^n
+    onto Z^k with kernel L_Z(tau), so it carries the rank-1 quotient
+    L_Z(sigma) / L_Z(tau) onto a saturated rank-1 sublattice of Z^k (an
+    integer point A.x on the line A.L(sigma) has x in L(sigma) + L(tau)
+    = L(sigma)).  A lattice generator u of that quotient pointing
+    into sigma is thus sent to the primitive vector along A.(p - q), for
+    relative interior points p of sigma and q of tau: p - q lies in
+    L(sigma) on sigma's side of L(tau), and A kills the choice of u
+    modulo L(tau).  The result is A.u, an integer vector of length k.
     """
-    Bs = direction_lattice(sigma)
-    Bt = direction_lattice(tau)
-    T = []
-    for t in Bt:
-        coeffs = in_lattice(Bs, t)
-        assert coeffs is not None, "tau must be a face of sigma"
-        T.append(coeffs)
-    k = len(Bs)
-    if T:
-        funcs = integer_nullspace(T)
-        assert len(funcs) == 1, "sigma/tau must have relative dimension 1"
-        fvec = funcs[0]
-    else:
-        assert k == 1
-        fvec = (1,)
-    y = in_lattice([(c,) for c in fvec], (1,))
-    assert y is not None, "a saturated quotient admits a generator"
-    c = tuple(sum(yi * b[j] for yi, b in zip(y, Bs)) for j in range(sigma.n))
-    # orient into sigma
-    p = sigma.relative_interior_point()
-    q = tau.relative_interior_point()
-    gamma = solve_linear([tuple(b[j] for b in Bs) for j in range(sigma.n)],
-                         vsub(p, q))
-    assert gamma is not None
-    s = sign(dot(fvec, gamma))
-    assert s != 0, "relative interior of sigma lies off the span of tau"
-    if s < 0:
-        c = tuple(-x for x in c)
-    return c
+    d = vsub(sigma.relative_interior_point(), tau.relative_interior_point())
+    return primitive_of_rational(tuple(dot(f, d) for f in functionals))
 
 
 def ridge_stars(complex_like):
-    """(ridge key, functionals, covectors) for every ridge, in key order.
+    """(ridge key, covectors) for every ridge, in key order.
 
     complex_like provides ridges, ridge_walls and walls in the shared
-    layout of TropicalComplex and Fan.  functionals is the saturated
-    basis of the integer functionals vanishing on the span of the ridge
-    (annihilator_lattice) and covectors maps each wall of its star to
-    covector(ridge, wall).  Weights w on the star are balanced at the
-    ridge exactly when sum_F w_F c_F lies in the span of the ridge, that
-    is when every functional vanishes on it.
+    layout of TropicalComplex and Fan.  covectors maps each wall of the
+    star of a ridge to covector(ridge, wall, A), with one A =
+    annihilator_lattice(ridge) for the whole star, so every covector of
+    a ridge is written in the same coordinates of R^n / L(ridge).
+    Weights w on the star are balanced at the ridge exactly when
+    sum_F w_F u_F lies in L(ridge), that is when sum_F w_F A.u_F = 0.
     """
     for rk in sorted(complex_like.ridges):
         tau = complex_like.ridges[rk]
-        yield rk, annihilator_lattice(tau), {
-            wk: covector(tau, complex_like.walls[wk])
-            for wk in complex_like.ridge_walls[rk]}
+        funcs = annihilator_lattice(tau)
+        yield rk, {wk: covector(tau, complex_like.walls[wk], funcs)
+                   for wk in complex_like.ridge_walls[rk]}
 
 
 def balance_matrix(complex_like, keys):
     """The balancing conditions as integer rows over the wall order keys.
 
-    One row per ridge and functional f of ridge_stars, with the entry
-    f . c_F in the column of each wall F of the star: the kernel of the
-    stacked rows is the space of balanced weight vectors.
+    One row per ridge and quotient coordinate i of ridge_stars, with the
+    i-th coordinate of the covector of each wall F of the star in the
+    column of F: the kernel of the stacked rows is the space of balanced
+    weight vectors.
     """
     col = {k: i for i, k in enumerate(keys)}
     rows = []
-    for _, funcs, covs in ridge_stars(complex_like):
-        for f in funcs:
+    for _, covs in ridge_stars(complex_like):
+        cols = [col[wk] for wk in covs]
+        for coords in zip(*covs.values()):
             row = [0] * len(col)
-            for wk, c in covs.items():
-                row[col[wk]] = dot(f, c)
+            for j, x in zip(cols, coords):
+                row[j] = x
             rows.append(tuple(row))
     return rows
 
@@ -435,9 +399,13 @@ def balance_violation(complex_like, weights=None):
     complex_like provides ridges, ridge_walls, walls and wall_weights in
     the shared layout of TropicalComplex and Fan.  weights may override
     the complex's own wall weights; its keys must be exactly the wall
-    keys.  Returns (ridge key, excess vector) for the first ridge where
-    the weighted covector sum leaves the span of the ridge, which is
-    where a functional of ridge_stars does not vanish on it.
+    keys.  Returns (ridge key, excess) for the first ridge, in key order,
+    where the excess sum_F w_F u_F of the covectors of ridge_stars is
+    not zero.  The excess is written in the quotient coordinates A of
+    the ridge (see covector), so it is zero exactly when the weighted
+    sum of lattice covectors lies in the span of the ridge.  In the
+    plane a ridge is a point, A is the identity and the excess is the
+    weighted sum of the primitive wall directions.
     """
     if weights is None:
         weights = complex_like.wall_weights
@@ -447,14 +415,12 @@ def balance_violation(complex_like, weights=None):
         raise WeightDomainMismatch(
             f"weights cover {len(weights)} cells, complex has "
             f"{len(complex_like.walls)} walls")
-    for rk, funcs, covs in ridge_stars(complex_like):
+    for rk, covs in ridge_stars(complex_like):
         total = None
         for wk, c in covs.items():
-            w = weights[wk]
-            contrib = tuple(w * x for x in c)
-            total = contrib if total is None else tuple(
-                a + b for a, b in zip(total, contrib))
-        if total is not None and any(sign(dot(f, total)) for f in funcs):
+            contrib = vscale(weights[wk], c)
+            total = contrib if total is None else vadd(total, contrib)
+        if total is not None and any(sign(x) for x in total):
             return rk, total
     return None
 

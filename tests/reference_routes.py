@@ -2,18 +2,106 @@
 
 Most functions compute an answer the library now reads off the chambers
 of a fan, the slow way: by Minkowski sums and hulls, or by one face
-query per wall.  root_form_rows is the mirror pairing of a Coxeter fan,
-the balancing formulation the library replaced by the lattice balancing
-matrix with metric columns.
+query or argmax per wall.  root_form_rows is the mirror pairing of a
+Coxeter fan, the balancing formulation the library replaced by the
+lattice balancing matrix with metric columns.  covector_lift finds the
+primitive vector of a wall over a ridge in Z^n through saturated
+direction lattices, where the library reads its image in the ridge's
+quotient coordinates off two interior points.
 """
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from tropfactor.division import segment_length
-from tropfactor.exact import dot, sign
-from tropfactor.polyhedra import LatticePolytope
-from tropfactor.tropical import annihilator_lattice, covector
+from tropfactor.exact import (
+    CertificateError,
+    dot,
+    in_lattice,
+    integer_nullspace,
+    nullspace_field,
+    rational_content,
+    sign,
+    solve_linear,
+    vsub,
+)
+from tropfactor.polyhedra import LatticePolytope, integer_row, rref_basis
+from tropfactor.tropical import annihilator_lattice
+
+
+def direction_lattice(cell):
+    """Saturated integer basis of the direction space of a cell's affine span."""
+    verts = cell.vertices
+    span = rref_basis([vsub(v, verts[0]) for v in verts[1:]]
+                      + list(cell.rays) + list(cell.lineality))
+    if not span:
+        return []
+    funcs = nullspace_field(list(span), ncols=cell.n)
+    if not funcs:
+        # full-dimensional span: the whole lattice
+        return [tuple(1 if j == i else 0 for j in range(cell.n))
+                for i in range(cell.n)]
+    return integer_nullspace([integer_row(f) for f in funcs])
+
+
+def covector_lift(tau, sigma):
+    """Primitive generator of L(sigma)/L(tau) in Z^n, pointing into sigma.
+
+    The returned integer vector lies in the direction lattice of sigma and
+    its class generates the quotient by the direction lattice of tau; it is
+    well defined up to elements of L(tau).  Found by two lattice solves
+    in a saturated basis of L(sigma) and one field solve for the side.
+    """
+    Bs = direction_lattice(sigma)
+    Bt = direction_lattice(tau)
+    T = []
+    for t in Bt:
+        coeffs = in_lattice(Bs, t)
+        assert coeffs is not None, "tau must be a face of sigma"
+        T.append(coeffs)
+    if T:
+        funcs = integer_nullspace(T)
+        assert len(funcs) == 1, "sigma/tau must have relative dimension 1"
+        fvec = funcs[0]
+    else:
+        assert len(Bs) == 1
+        fvec = (1,)
+    y = in_lattice([(c,) for c in fvec], (1,))
+    assert y is not None, "a saturated quotient admits a generator"
+    c = tuple(sum(yi * b[j] for yi, b in zip(y, Bs)) for j in range(sigma.n))
+    p = sigma.relative_interior_point()
+    q = tau.relative_interior_point()
+    gamma = solve_linear([tuple(b[j] for b in Bs) for j in range(sigma.n)],
+                         vsub(p, q))
+    assert gamma is not None
+    s = sign(dot(fvec, gamma))
+    assert s != 0, "relative interior of sigma lies off the span of tau"
+    return c if s > 0 else tuple(-x for x in c)
+
+
+def segment_length(points, length: Callable):
+    """The length of the segment spanned by distinct points, 0 for one point.
+
+    The points are the maximizers of a linear form on a wall of a fan or
+    complex that refines the points' own normal fan, so they are
+    collinear; CertificateError when they are not.  Collinear points
+    sort along their line, so the ends come first and last.
+    """
+    if len(points) == 1:
+        return Fraction(0)
+    pts = sorted(points)
+    u = pts[0]
+    if len(pts) > 2 and len(rref_basis([vsub(v, u) for v in pts[1:]])) != 1:
+        raise CertificateError(
+            f"the maximizers {pts} on a wall of a refining fan are not "
+            "collinear")
+    return length(vsub(pts[-1], u))
+
+
+def extend_weights_by_wall_points(g, Tf) -> dict:
+    """Wall key of T(f) -> length of g's maximizers at an interior point."""
+    return {wk: segment_length(g.argmax(W.relative_interior_point()),
+                               rational_content)
+            for wk, W in Tf.walls.items()}
 
 
 def signed_sum_holds(P, y, polytopes) -> bool:
@@ -83,7 +171,7 @@ def root_form_rows(cf) -> RootForm:
             W = fan.walls[wk]
             p = W.relative_interior_point()
             (r,) = [r for r, m in mirrors.items() if dot(m, p) == 0]
-            c = covector(tau, W)
+            c = covector_lift(tau, W)
             s = sign(dot(pi[0], r) * dot(pi[1], c)
                      - dot(pi[1], r) * dot(pi[0], c))
             assert s, "a root is transverse to its mirror"

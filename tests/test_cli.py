@@ -56,6 +56,9 @@ S_OBJ = {"dim": 2, "vertices": [[1, 0], [0, 1], [2, 0], [0, 2],
                                 [3, 1], [3, 2], [2, 3], [1, 3]]}
 TRI_OBJ = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
 P1_OBJ = {"dim": 2, "vertices": [[0, 0], [1, -1], [2, 0]]}
+SQRT2 = {"a": 0, "b": 1, "d": 2}
+# the unit triangle dilated by sqrt(2): vertices in Q(sqrt(2))^2
+SQRT2_TRI_OBJ = {"dim": 2, "vertices": [[0, 0], [SQRT2, 0], [0, SQRT2]]}
 PHI_P1_OBJ = {"dim": 2, "vertices": [[0, 1], [2, 1], [1, 0]]}
 
 TABLE_1_CSV = ("1,0,0,1\n0,0,1,1\n0,1,0,1\n"
@@ -69,6 +72,10 @@ def files(tmp_path_factory):
     fixtures = {"f": F_OBJ, "g": G_OBJ, "tent_f": TENT_F_OBJ,
                 "tent_g": TENT_G_OBJ, "S": S_OBJ, "tri": TRI_OBJ,
                 "p1": P1_OBJ, "phi_p1": PHI_P1_OBJ,
+                "sqrt2_tri": SQRT2_TRI_OBJ,
+                "square": {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1],
+                                                  [1, 1]]},
+                "diagonal": {"dim": 2, "vertices": [[0, 0], [1, 1]]},
                 "cube3": {"dim": 3, "vertices": [[x, y, z] for x in (0, 1)
                                                 for y in (0, 1)
                                                 for z in (0, 1)]}}
@@ -181,8 +188,27 @@ class TestFactor:
         assert payload["error"] == "NotASummand"
         assert payload["witness"][0] == "not_refining"
 
+    def test_not_refining_message_names_the_exact_point(self, files,
+                                                        capsys):
+        code, out, _ = run(["factor", files["square"], files["diagonal"]],
+                           capsys)
+        assert code == 1
+        message = json.loads(out)["message"]
+        assert "(witness direction (-1, 1))" in message
+        assert "Fraction(" not in message
+
 
 class TestBasisAndExpand:
+    def test_expand_rejects_irrational_vertices(self, files, capsys):
+        # the triangle's fan refines the normal fan of the sqrt(2)-triangle,
+        # whose edges have no lattice length
+        code, out, err = run(["expand", files["sqrt2_tri"], files["tri"]],
+                             capsys)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "rational vertices" in payload["message"]
+
     def test_octagon_basis(self, files, capsys):
         code, out, _ = run(["basis", files["S"]], capsys)
         assert code == 0
@@ -556,7 +582,8 @@ MINKOWSKI_POLYTOPES = [
     S_OBJ, P1_OBJ, TRI_OBJ,
     {"dim": 2, "vertices": [list(v) for v in HEXAGON_VERTICES]},
     {"dim": 2, "vertices": [[0, 0], [2, -2]]},
-    {"dim": 3, "vertices": [list(v) for v in TETRA_VERTICES]}]
+    {"dim": 3, "vertices": [list(v) for v in TETRA_VERTICES]},
+    SQRT2_TRI_OBJ]
 MINKOWSKI_FANS = [_fan_json(OCTAGON_VERTICES), _fan_json(HEXAGON_VERTICES),
                   _fan_json([(0, 0), (1, 0), (0, 1)]),
                   _fan_json(TETRA_VERTICES)]

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from reference_routes import (
+    covector_lift,
     root_form_rows,
     signed_sum_holds,
     wall_lengths_by_face_queries,
@@ -60,7 +61,7 @@ from tropfactor.minkowski import (
 )
 from tropfactor.permutahedra import canonical_subsets, simplex_polytope, universal_fan
 from tropfactor.polyhedra import LatticePolytope, demote_vector, normalize_ray
-from tropfactor.tropical import annihilator_lattice, balance_violation, covector
+from tropfactor.tropical import annihilator_lattice, balance_violation
 
 R2 = SQRT2
 H = QuadExt(0, Fraction(1, 2))  # 1/sqrt(2)
@@ -92,7 +93,7 @@ def covector_balanced(cf: CoxeterFan, w) -> bool:
         span = _ridge_span(tau)
         total = None
         for wk in fan.ridge_walls[rk]:
-            c = covector(tau, fan.walls[wk])
+            c = covector_lift(tau, fan.walls[wk])
             c = _gram_perp(rs, c, span)
             u = demote_vector(x / rs.root_norm(c) for x in c)
             contrib = vscale(by_key[wk], u)

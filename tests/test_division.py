@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from property_sweeps import random_polynomial
+from reference_routes import extend_weights_by_wall_points
 from tropfactor import polyhedra
 from tropfactor.division import (
     NegativeWeight,
@@ -165,6 +166,28 @@ class TestExtendWeights:
         T = f.dual_complex()
         wup = extend_weights(f, f, T)
         assert wup == T.wall_weights
+
+    def test_chamber_winners_agree_with_wall_maximizers(self):
+        # f = g (.) h, and g (.) g whose weights may exceed those of f:
+        # both divisors have their variety inside V(f)
+        rng = random.Random(1150)
+        checked = 0
+        for i in range(60):
+            n = (1, 2, 3)[i % 3]
+            g = random_polynomial(rng, n, max_terms=5)
+            h = random_polynomial(rng, n, max_terms=5)
+            f = g * h
+            T = f.dual_complex()
+            for d in (g, h, g * g):
+                if not variety_contained(d, f):
+                    continue
+                got = extend_weights(f, d, T)
+                want = extend_weights_by_wall_points(d, T)
+                assert got == want, (f.terms, d.terms)
+                assert [type(got[k]) for k in sorted(got)] == \
+                    [type(want[k]) for k in sorted(want)]
+                checked += 1
+        assert checked >= 120
 
 
 class TestDivide:

@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from property_sweeps import random_polynomial
+from reference_routes import covector_lift, direction_lattice
+from tropfactor.coxeter import build_root_system, coxeter_fan
+from tropfactor.exact import dot
+from tropfactor.formats import weighted_fan_from_json
 from tropfactor.polyhedra import LatticePolytope
 from tropfactor.tropical import (
     TropicalComplex,
     TropicalPolynomial,
     WeightDomainMismatch,
+    annihilator_lattice,
+    balance_matrix,
     balance_violation,
     covector,
-    direction_lattice,
     is_balanced,
 )
 
@@ -184,7 +189,9 @@ class TestCovector:
         T = TropicalComplex(TropicalPolynomial.from_polytope(P))
         (rk,) = T.ridges
         tau = T.ridges[rk]
-        got = sorted(covector(tau, T.walls[wk]) for wk in T.ridge_walls[rk])
+        A = annihilator_lattice(tau)
+        got = sorted(covector(tau, T.walls[wk], A)
+                     for wk in T.ridge_walls[rk])
         assert got == [(-1, 0), (0, -1), (1, 1)]
 
     def test_covector_ignores_lattice_length(self):
@@ -194,7 +201,7 @@ class TestCovector:
         T = TropicalComplex(f)
         for rk, tau in T.ridges.items():
             for wk in T.ridge_walls[rk]:
-                c = covector(tau, T.walls[wk])
+                c = covector(tau, T.walls[wk], annihilator_lattice(tau))
                 assert max(abs(x) for x in c) >= 1
 
     def test_direction_lattice_of_diagonal_wall(self):
@@ -204,6 +211,87 @@ class TestCovector:
                     if set(e) == {(0, 0), (2, 2)})
         L = direction_lattice(T.walls[diag])
         assert [tuple(map(abs, v)) for v in L] == [(1, 1)]
+
+
+def _json_cone(*normals, eq=()):
+    return ([{"normal": list(a), "rhs": 0, "eq": False} for a in normals]
+            + [{"normal": list(a), "rhs": 0, "eq": True} for a in eq])
+
+
+def _covector_cases():
+    """Fans and complexes whose ridges exercise the quotient coordinates."""
+    rng = random.Random(1011)
+    cases = []
+    for n in (2, 2, 3, 3, 3):
+        while True:
+            pts = {tuple(rng.randint(-2, 2) for _ in range(n))
+                   for _ in range(rng.randint(n + 1, 7))}
+            P = LatticePolytope(sorted(pts))
+            if P.dim() == n:
+                break
+        cases.append(P.normal_fan())
+
+    def with_ridges(draw):
+        while True:
+            T = draw().dual_complex()
+            if T.ridges:
+                return T
+
+    for n in (2, 3, 3):
+        cases.append(with_ridges(
+            lambda: random_polynomial(rng, n, max_terms=7)))
+    for _ in range(3):
+        # a Newton polytope in the plane a + b = c: chambers with lineality
+        cases.append(with_ridges(lambda: TropicalPolynomial(
+            {(a, b, a + b): v for (a, b), v in
+             random_polynomial(rng, 2, max_terms=7).terms.items()})))
+    quadrants_line = {"dim": 3, "cones": [
+        _json_cone((sx, 0, 0), (0, sy, 0)) for sx in (1, -1) for sy in (1, -1)]}
+    # the same quadrants in the plane z = 0, cut out by an equality row:
+    # the walls are rays, so no ridge of dimension n - 2 and no rows
+    quadrants_plane = {"dim": 3, "cones": [
+        _json_cone((sx, 0, 0), (0, sy, 0), eq=[(0, 0, 1)])
+        for sx in (1, -1) for sy in (1, -1)]}
+    for obj in (quadrants_line, quadrants_plane):
+        cases.append(weighted_fan_from_json(obj)[0])
+    for tag in ("A1", "A2", "A3", "B2"):
+        cases.append(coxeter_fan(build_root_system(tag)).fan)
+    return cases
+
+
+class TestCovectorAgainstLift:
+    """covector(tau, sigma, A) is A times the lattice lift of u_{sigma/tau}."""
+
+    @pytest.mark.parametrize("case", _covector_cases(),
+                             ids=lambda c: type(c).__name__)
+    def test_quotient_coordinates_match_the_lift(self, case):
+        keys = sorted(case.walls)
+        col = {k: i for i, k in enumerate(keys)}
+        rows = []
+        for rk in sorted(case.ridges):
+            tau = case.ridges[rk]
+            A = annihilator_lattice(tau)
+            lifted = {}
+            for wk in case.ridge_walls[rk]:
+                W = case.walls[wk]
+                want = tuple(dot(f, covector_lift(tau, W)) for f in A)
+                assert covector(tau, W, A) == want
+                lifted[wk] = want
+            for i in range(len(A)):
+                row = [0] * len(keys)
+                for wk, c in lifted.items():
+                    row[col[wk]] = c[i]
+                rows.append(tuple(row))
+        assert balance_matrix(case, keys) == rows
+
+    def test_cases_reach_quotients_off_the_coordinate_axes(self):
+        # in space a ridge is a line, and A is a 2 x 3 matrix that is not
+        # a coordinate projection for some ridges
+        cases = [c for c in _covector_cases() if c.n == 3 and c.ridges]
+        assert len(cases) >= 6
+        assert any(sorted(map(abs, f)) != [0, 0, 1]
+                   for c in cases for rk in c.ridges
+                   for f in annihilator_lattice(c.ridges[rk]))
 
 
 class TestRandomized:
