@@ -1,28 +1,20 @@
 """Coxeter fans and Phi-polytopes over Q(sqrt(2)).
 
 A finite reflection arrangement in R^n cuts space into the chambers of
-the Coxeter fan; its walls lie on the mirror hyperplanes.  Weights on
-the walls are metric edge lengths: the weight of a Phi-polytope on a
-wall F is the length, in the primal metric, of the edge dual to F.  That
-edge pairs to zero with the span of F, so it is parallel to the
-primitive integer normal of F, and its metric length is l_F times its
-lattice length, where l_F is the primal norm of that normal.  Metric weights w
-are therefore balanced exactly when the lattice weights w_F / l_F are:
-the balance rows are the lattice balancing matrix Phi of the fan, the
-one every fan uses (tropical.balance_matrix), with column F divided by
-l_F.  The l_F lie in Q(sqrt(2)) for the supported types, so the whole
-weight cone is exact over that field; its kernel basis, made
-non-negative with the all-ones vector, plays the role the lattice
-factorization basis plays for rational fans.
+the Coxeter fan; its walls lie on the mirror hyperplanes.  The weight
+of a Phi-polytope on a wall F is the metric length of the edge dual to
+F, which is parallel to the primitive normal of F: l_F times its
+lattice length, l_F the primal norm of that normal.  So metric weights w
+are balanced exactly when w_F / l_F lies in the kernel of the lattice
+balancing matrix Phi (tropical.balance_matrix).
 
-Most of the data are rational all the same: the fans, the chamber
-points and the vertices of the usual Phi-polytopes.  So the work runs
-over Q and Q(sqrt(2)) enters only where a value is irrational.  The
-weight kernel is taken of the integer matrix Phi and rescaled column by
-column; edge lengths of rational edges cost one square root per mirror
-direction; and in type A, where all primitive mirror directions have
-one primal norm u, support reconstruction of rational weights walks in
-lattice units and scales by 1/u at the end.
+The fans are simplicial: a support function is fixed by its heights on
+the rays, and the lattice weights of the walls are linear in them (the
+height map M of RayHeights, whose image is ker Phi).  The weight kernel
+comes from one elimination of M, a basis polytope is its table of
+chamber gradients, and an expansion reads a polytope's heights once
+per ray.  In type A all mirror directions have one primal norm u, so
+that work runs in lattice units, on rationals, and scales by u once.
 
 Type A_n is coordinatized on the quotient of R^{n+1} by the diagonal:
 points of the fan's ambient space are the action coordinates (f_1, ...,
@@ -44,9 +36,9 @@ from .exact import (
     TropfactorError,
     dot,
     is_zero_vector,
-    nullspace_field,
     primitive_of_rational,
     rational_content,
+    row_reduce,
     scalar_sqrt,
     sign,
     solve_linear,
@@ -172,6 +164,18 @@ class RootSystem:
         """Image of the primal point v; r pairs with v through mirror(r)."""
         c = 2 * dot(v, r) / self.gdot(r, r)
         return demote_vector(vsub(v, vscale(c, self.mirror(r))))
+
+    def orbit(self, x, reflect) -> set:
+        """The orbit of x under reflect(., r) for the simple roots r."""
+        seen, queue = {x}, [x]
+        while queue:
+            p = queue.pop()
+            for r in self.int_simple:
+                q = reflect(p, r)
+                if q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+        return seen
 
     # -- simple roots ------------------------------------------------------
 
@@ -302,12 +306,6 @@ class CoxeterFan:
             self._rows = balance_matrix(self.fan, self.wall_order), lengths
         return self._rows
 
-    def metric_rows(self):
-        """The rows of Phi . diag(1/lengths), as lists of (column, entry)."""
-        Phi, lengths = self.balance_rows()
-        return [[(j, x / lengths[j]) for j, x in enumerate(row) if x]
-                for row in Phi]
-
     def __repr__(self):
         return (f"CoxeterFan({self.rs.tag!r}, {self.group_order} chambers, "
                 f"{len(self.wall_order)} walls)")
@@ -359,17 +357,7 @@ def coxeter_fan(rs: RootSystem) -> CoxeterFan:
     fundamental = Polyhedron(rs.n, [(tuple(-x for x in rs.mirror(r)),
                                      Fraction(0)) for r in rs.int_simple])
     p0 = demote_vector(fundamental.relative_interior_point())
-    seen = {p0}
-    queue = [p0]
-    points = []
-    while queue:
-        p = queue.pop()
-        points.append(p)
-        for r in rs.int_simple:
-            q = rs.reflect_dual(p, r)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
+    points = rs.orbit(p0, rs.reflect_dual)
     assert len(points) == _GROUP_ORDER[rs.tag], (
         "the group acts simply transitively on the chambers")
     chambers = []
@@ -395,13 +383,95 @@ def coxeter_fan(rs: RootSystem) -> CoxeterFan:
 def root_balanced(cf: CoxeterFan, w) -> bool:
     """Are the metric wall weights w balanced around every ridge?
 
-    The test is cf.metric_rows() . w = 0: w_F / l_F are the lattice
-    lengths of the dual edges, and the lattice balancing matrix decides
-    them.  It is exact for weights in Q(sqrt(2)).
+    The test is Phi . (w_F / l_F) = 0: w_F / l_F are the lattice lengths
+    of the dual edges, and the lattice balancing matrix decides them.
+    It is exact for weights in Q(sqrt(2)).
     """
+    Phi, lengths = cf.balance_rows()
     values = cf.weight_values(cf.weight_dict(w))
-    return not any(sum(c * values[j] for j, c in row)
-                   for row in cf.metric_rows())
+    return not any(sum(x * values[j] / lengths[j] for j, x in enumerate(row)
+                       if x) for row in Phi)
+
+
+# ---------------------------------------------------------------------------
+# ray heights
+
+
+class RayHeights:
+    """The height map M: Q^rays -> Q^walls of a complete simplicial fan.
+
+    On a chamber C the gradient x_C(h) of the function with heights h
+    solves rho . x = h(rho) for the n rays of C (table).  The lattice
+    weight of the wall between C and D is x_D - x_C along the primitive
+    inward normal p of D: (h(rho_D) - rho_D . x_C(h)) / (rho_D . p) for
+    the ray rho_D of D off the wall (weight).  The kernel of M is the
+    linear functions and its image is ker Phi, McMullen's wall-crossing
+    description of the type cone (arXiv:1906.06861, section 2).
+    """
+
+    def __init__(self, fan: Fan):
+        index, n = {}, fan.n
+        self.chamber_rays, self.inverse = [], []
+        for C in fan.chambers:
+            if C.lineality or len(C.rays) != n:
+                raise CertificateError("a chamber is not simplicial")
+            self.chamber_rays.append(tuple(index.setdefault(r, len(index))
+                                           for r in C.rays))
+            red, _ = row_reduce([tuple(r) + tuple(int(i == j)
+                                                  for j in range(n))
+                                 for i, r in enumerate(C.rays)])
+            self.inverse.append([row[n:] for row in red])
+        self.rays = list(index)
+        self.columns = {}
+        for k, ((i, _), (j, inward)) in fan.wall_chambers.items():
+            (d,) = set(self.chamber_rays[j]) - set(self.chamber_rays[i])
+            rho, inv = self.rays[d], self.inverse[i]
+            c = Fraction(dot(rho, primitive_of_rational(inward)))
+            col = self.columns[k] = {d: 1 / c}
+            for t, e in enumerate(self.chamber_rays[i]):
+                lam = sum(rho[s] * inv[s][t] for s in range(n))
+                if lam:
+                    col[e] = -lam / c
+
+    def heights(self, table) -> list:
+        """h(rho) = rho . v_C, one chamber C per ray, for a chamber table."""
+        h = {}
+        for ids, v in zip(self.chamber_rays, table):
+            h.update((e, dot(self.rays[e], v)) for e in ids if e not in h)
+        return [h[e] for e in range(len(self.rays))]
+
+    def table(self, h) -> tuple:
+        """The gradients x_C(h), in fan.chambers order."""
+        return tuple(demote_vector(dot(row, [h[e] for e in ids])
+                                   for row in inv)
+                     for ids, inv in zip(self.chamber_rays, self.inverse))
+
+    def weight(self, key, h):
+        """The lattice weight of wall key under the heights h."""
+        return sum(c * h[e] for e, c in self.columns[key].items())
+
+    def image_basis(self, order) -> list:
+        """The reduced basis of the image of M, as (z, h) with M . h = z.
+
+        M is row-reduced as a #rays x #walls matrix with its columns in
+        reverse order, beside an identity block that tracks the heights.
+        The reversed echelon form is the basis of ker Phi that
+        nullspace_field gives: z is 1 at its free column f, 0 at the
+        other free columns and after f.  The list runs by increasing f.
+        """
+        m, nr = len(order), len(self.rays)
+        red, pivots = row_reduce([
+            tuple(self.columns[k].get(e, 0) for k in reversed(order))
+            + tuple(int(e == i) for i in range(nr)) for e in range(nr)])
+        return [(row[m - 1::-1], row[m:])
+                for row, p in zip(red, pivots) if p < m][::-1]
+
+
+def ray_heights(fan: Fan) -> RayHeights:
+    """The height map of a simplicial fan, built once and kept on it."""
+    if fan.heights is None:
+        fan.heights = RayHeights(fan)
+    return fan.heights
 
 
 # ---------------------------------------------------------------------------
@@ -411,83 +481,86 @@ def root_balanced(cf: CoxeterFan, w) -> bool:
 def phi_weight_cone_basis(cf: CoxeterFan) -> FactorizationBasis:
     """A basis of the balanced weight space, non-negative entry-wise.
 
-    The space is the kernel of the metric balance rows R = Phi .
-    diag(1/l) over Q(sqrt(2)), where Phi is the lattice balancing matrix
-    of the fan and l_j the primal norm of the primitive normal of wall j
-    (CoxeterFan.balance_rows).  The edge dual to a wall is parallel to
-    that normal, so a metric weight w_j is l_j times a lattice length,
-    and w is balanced exactly when (w_j / l_j) is in the kernel of Phi.
-    Phi is an integer matrix, so the kernel is computed over Q: a vector
-    z of ker Phi with free column f (its last non-zero entry) maps to
-    x_j = z_j l_j / l_f, which is the field kernel vector of R with
-    x_f = 1, since column scaling keeps the pivot columns.  Every x is
-    checked against R over the field.  The all-ones vector is balanced
-    (it is the weight vector of the orbit polytope of the point at
-    distance 1/2 from every wall of the fundamental chamber) and
-    strictly positive; it is the sum of the kernel vectors, which is
-    checked too, so it replaces the first of them, and adding multiples
-    of it to the others yields a non-negative basis.  Each basis vector
-    is realized as a polytope by support reconstruction.  The rows of
-    the basis matrix follow cf.wall_order, and edges are measured in the
-    primal metric.
+    Metric weights w are balanced exactly when (w_j / l_j) lies in ker
+    Phi, the image of the height map; one elimination of M gives its
+    reduced basis z, with Phi . z = 0 checked over Q, and heights h with
+    M . h = z (RayHeights.image_basis).  z, with free column f (its last
+    non-zero entry), maps to x_j = z_j l_j / l_f, the field kernel
+    vector of Phi . diag(1/l) with x_f = 1.  The all-ones vector is
+    balanced (the weights of the orbit polytope of the point at distance
+    1/2 from every wall of the fundamental chamber); it is the sum of
+    the x, which is checked, so it replaces the first of them, and
+    adding multiples of it makes the others non-negative.  Rows follow
+    cf.wall_order.
+
+    Basis polytope B_i is given by the chamber table of u B_i from its
+    heights.  In type A, u is RootSystem.mirror_unit, the one primal
+    norm of the mirror directions, so u B_i has lattice weights x and
+    rational heights; B2 takes u = 1 and heights h / l_f.  Each table is
+    checked to step by its vector across every wall, hence to be the
+    table of a convex support function; hulls are built only when
+    basis.polytopes is read.
     """
     m = len(cf.wall_order)
     Phi, lengths = cf.balance_rows()
-    kernel = []
-    for z in nullspace_field(Phi, ncols=m):
-        f = max(j for j, x in enumerate(z) if x)
-        kernel.append(demote_vector(
-            x if not x or lengths[j] == lengths[f]
-            else x * lengths[j] / lengths[f]
-            for j, x in enumerate(z)))
-    rows = cf.metric_rows()
-    if any(sum(c * v[j] for j, c in row) for v in kernel for row in rows):
-        raise CertificateError(
-            "a vector of the rational weight kernel is not balanced in the "
-            "metric rows")
-    ones = tuple(Fraction(1) for _ in range(m))
-    if not kernel or tuple(map(sum, zip(*kernel))) != ones:
+    heights = ray_heights(cf.fan)
+    unit = 1 if cf.rs.mirror_unit is None else cf.rs.mirror_unit
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in Phi]
+    kernel = []  # (x, heights of u B)
+    for z, h in heights.image_basis(cf.wall_order):
+        if any(sum(x * z[j] for j, x in row) for row in rows):
+            raise CertificateError(
+                "a vector of the ray-height kernel is not balanced")
+        lf = lengths[max(j for j, x in enumerate(z) if x)]
+        kernel.append((demote_vector(x if not x or l == lf else x * l / lf
+                                     for x, l in zip(z, lengths)),
+                       h if lf == unit else demote_vector(x * unit / lf
+                                                          for x in h)))
+    ones = (Fraction(1),) * m
+    if not kernel or tuple(map(sum, zip(*(v for v, _ in kernel)))) != ones:
         raise CertificateError(
             "the balanced weight kernel does not sum to the all-ones vector")
-    out = [ones]
-    for v in kernel[1:]:
-        low = min(v)
-        if sign(low) < 0:
-            v = vadd(v, vscale(-low, ones))
-        out.append(demote_vector(v))
-    vectors = [WeightVector(cf.fan, dict(zip(cf.wall_order, v)))
-               for v in out]
-    polys = [reconstruct_phi(cf, v.by_key) for v in vectors]
-    return FactorizationBasis(cf.fan, vectors, polys, order=cf.wall_order,
-                              length=cf.rs.primal_norm)
+    out = [(ones, demote_vector(map(sum, zip(*(h for _, h in kernel)))))]
+    for v, h in kernel[1:]:
+        c = min(v)
+        if sign(c) < 0:
+            v, h = vadd(v, vscale(-c, ones)), vadd(h, vscale(-c, out[0][1]))
+        out.append((demote_vector(v), h))
+    tables = [heights.table(h) for _, h in out]
+    # into chamber b across wall j, x_b - x_a = (v_j u / l_j) p_b
+    steps = [(a, b, primitive_of_rational(inward),
+              1 if length == unit else unit / length)
+             for k, length in zip(cf.wall_order, lengths)
+             for (a, _), (b, inward) in [cf.fan.wall_chambers[k]]]
+    for (v, _), table in zip(out, tables):
+        if any(vsub(table[b], table[a]) != vscale(x * c, p)
+               for x, (a, b, p, c) in zip(v, steps)):
+            raise CertificateError(
+                "the chamber table of a basis polytope does not step by its "
+                "basis vector across the walls")
+    return FactorizationBasis(
+        cf.fan, [WeightVector(cf.fan, dict(zip(cf.wall_order, v)))
+                 for v, _ in out],
+        order=cf.wall_order, length=cf.rs.primal_norm, tables=tables,
+        unit=unit)
 
 
 def reconstruct_phi(cf: CoxeterFan, w) -> LatticePolytope:
     """The polytope with the given balanced wall weights as edge lengths.
 
-    Support integration over the chamber graph; the step across a wall
-    is the weight times the unit primal normal of the mirror, so weights
-    are metric edge lengths.  When the primitive mirror directions share
-    one primal norm u (type A) and the weights are rational, the walk
-    steps along the primitive integer normals instead: its vertices and
-    its one hull are rational, and the result is that polytope scaled
-    by 1/u, which maps vertices and rows with no hull.  Otherwise each
-    mirror's unit normal is computed once per call.  NotBalanced
-    propagates from the walk when the weights fail to close up.
+    Support integration over the chamber graph on the lattice lengths
+    w_F / l_F.  In type A, rational weights are walked as they are, on
+    rationals, and the polytope is scaled by 1/u with no second hull.
+    NotBalanced propagates from the walk when the weights fail to close
+    up.
     """
     by_key = cf.weight_dict(w)
     rs = cf.rs
     if rs.mirror_unit is not None and is_rational_vector(by_key.values()):
         return reconstruct_from_fan(cf.fan, by_key).scale(1 / rs.mirror_unit)
-    units = {}
-
-    def wall_normal(key, inward):
-        p = primitive_of_rational(inward)
-        if p not in units:
-            units[p] = demote_vector(x / rs.primal_norm(p) for x in p)
-        return units[p]
-
-    return reconstruct_from_fan(cf.fan, by_key, wall_normal=wall_normal)
+    return reconstruct_from_fan(cf.fan, {k: x / rs.primal_norm(
+        primitive_of_rational(cf.fan.wall_chambers[k][0][1]))
+        for k, x in by_key.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -508,19 +581,20 @@ def phi_weights(P: LatticePolytope, cf: CoxeterFan) -> Dict:
 def phi_expand(P: LatticePolytope, basis: FactorizationBasis) -> tuple:
     """The unique y over the basis with w_P = sum_i y_i b_i.
 
-    Existence holds because extended weights of a polytope are balanced
-    and the basis spans the balanced space; uniqueness because the basis
-    is linearly independent.  y is read off r independent walls with
-    the basis's one inverse (FactorizationBasis.coordinates).  It is
-    verified as the signed Minkowski identity P + sum(y_i^- B_i) =
-    sum(y_i^+ B_i) up to translation on the vertex of every chamber of
-    the Coxeter fan (certify_signed_sum), which also covers the other
-    walls, before it is returned.
+    chamber_vertices checks that the Coxeter fan refines the normal fan
+    of P (NotAPhiPolytope with its witness) and gives the vertex v_C of
+    each chamber.  The heights rho . v_C, one per ray, give the lattice
+    weights of P on the walls that FactorizationBasis.coordinates reads,
+    and those give y / u, rational in type A.  y is verified as the
+    signed Minkowski identity P + sum(y_i^- B_i) = sum(y_i^+ B_i) up to
+    translation on every chamber (certify_signed_sum) before it is
+    returned.
     """
-    wp = wall_lengths(P, basis.fan, basis.length, NotAPhiPolytope)
     table = chamber_vertices(P, basis.fan, NotAPhiPolytope)
-    return demote_vector(certify_signed_sum(table, basis.coordinates(wp),
-                                            basis))
+    heights = ray_heights(basis.fan)
+    h = heights.heights(table)
+    y = vscale(basis.unit, basis.coordinates(lambda k: heights.weight(k, h)))
+    return demote_vector(certify_signed_sum(table, demote_vector(y), basis))
 
 
 def phi_permutahedron(rs: RootSystem, x) -> LatticePolytope:
@@ -538,15 +612,7 @@ def phi_permutahedron(rs: RootSystem, x) -> LatticePolytope:
         if dot(x, r) == 0:
             raise PointOnHyperplane(
                 f"the point lies on the mirror of the root {r}")
-    seen = {x}
-    queue = [x]
-    while queue:
-        p = queue.pop()
-        for r in rs.int_simple:
-            q = rs.reflect_primal(p, r)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
+    seen = rs.orbit(x, rs.reflect_primal)
     if len(seen) != _GROUP_ORDER[rs.tag]:
         raise CertificateError(
             f"the orbit of a generic point has {len(seen)} points, "

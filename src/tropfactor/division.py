@@ -78,7 +78,8 @@ class NotBalanced(TropfactorError):
 
 
 def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
-                                Tf: Optional[TropicalComplex] = None):
+                                Tf: Optional[TropicalComplex] = None,
+                                winners: Optional[list] = None):
     """A point of V(g) \\ V(f), or None when V(g) is contained in V(f).
 
     V(f) misses exactly the open chambers of T(f), so containment holds
@@ -93,9 +94,11 @@ def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
     this fails, a term overtakes b along p + t*u within that range, and
     the first tie point is the witness: it is in V(g) and still interior
     to D, since it lies strictly before the vertex or on an unbounded
-    direction.  Tf may pass a prebuilt f.dual_complex().  A witness is
-    checked before it is returned: g attains its maximum at two terms or
-    more there and f at exactly one, else CertificateError.
+    direction.  Tf may pass a prebuilt f.dual_complex(), and winners a
+    list that receives b for each chamber in turn: g's winners, when
+    containment holds.  A witness is checked before it is returned: g
+    attains its maximum at two terms or more there and f at exactly
+    one, else CertificateError.
     """
     if g.n != f.n:
         raise ValueError("ambient dimensions differ")
@@ -119,6 +122,8 @@ def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
         if len(arg) > 1:
             return _checked_witness(g, f, p)
         b = arg[0]
+        if winners is not None:
+            winners.append(b)
         vb = g.terms[b]
         dirs = list(D.rays) + [u for l in D.lineality
                                for u in (l, tuple(-x for x in l))]
@@ -165,23 +170,6 @@ def variety_contained(g: TropicalPolynomial, f: TropicalPolynomial) -> bool:
 # weight extension and division
 
 
-def chamber_winners(g: TropicalPolynomial, Tf: TropicalComplex) -> list:
-    """g's unique maximal term at the interior point of each chamber of Tf.
-
-    CertificateError on a tie: the chamber then meets V(g), which a
-    caller that has checked containment never sees.
-    """
-    out = []
-    for a, D in zip(Tf.chamber_terms, Tf.chambers):
-        p = D.relative_interior_point()
-        arg = g.argmax(p)
-        if len(arg) != 1:
-            raise CertificateError(
-                f"the chamber of {a} meets the variety of g at {p}")
-        out.append(arg[0])
-    return out
-
-
 def edge_lengths(wall_chambers, table, length: Callable) -> Dict:
     """Wall key -> length of table[j] - table[i], 0 where they agree.
 
@@ -198,22 +186,25 @@ def extend_weights(f: TropicalPolynomial, g: TropicalPolynomial,
                    winners: Optional[list] = None) -> Dict:
     """The extension of w_g to the walls of T(f).
 
-    Requires V(g) inside V(f).  An open chamber C of T(f) then misses
-    V(g), so one term b_C of g is maximal on all of it: its winner at
-    the interior point (chamber_winners; divide passes in the winners
-    it has already read).  A small ball around an interior point p of
-    the wall between chambers C and D lies in C and D, where g is the
-    affine function of b_C or of b_D.  If b_C = b_D, g is affine near
-    p, the wall is off V(g) and gets weight 0.  Otherwise p lies on a
-    wall of T(g) whose dual edge in g's subdivision joins b_C and b_D,
-    and the wall inherits its lattice length |b_D - b_C|.  The same
-    rule measures the walls of a fan refining a polytope's normal fan
-    (minkowski.wall_lengths); both go through edge_lengths.
+    Requires V(g) inside V(f), else CertificateError.  An open chamber C
+    of T(f) then misses V(g), so one term b_C of g is maximal on all of
+    it: its winner at the interior point, read by the containment check
+    (divide passes in the winners of its own check).  A small ball
+    around an interior point p of the wall between chambers C and D
+    lies in C and D, where g is the affine function of b_C or of b_D.
+    If b_C = b_D, g is affine near p, the wall is off V(g) and gets
+    weight 0.  Otherwise p lies on a wall of T(g) whose dual edge in g's
+    subdivision joins b_C and b_D, and the wall inherits its lattice
+    length |b_D - b_C|.  The same rule measures the walls of a fan
+    refining a polytope's normal fan (minkowski.wall_lengths); both go
+    through edge_lengths.
     """
     if Tf is None:
         Tf = f.dual_complex()
     if winners is None:
-        winners = chamber_winners(g, Tf)
+        winners = []
+        if variety_containment_witness(g, f, Tf, winners) is not None:
+            raise CertificateError("the variety of g is not inside that of f")
     return edge_lengths(Tf.wall_chambers, winners, rational_content)
 
 
@@ -227,10 +218,12 @@ def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
     returning, and CertificateError reports a failure of that check.
     """
     Tf = f.dual_complex()
-    witness = variety_containment_witness(g, f, Tf)
+    winners = []
+    witness = variety_containment_witness(g, f, Tf, winners)
     if witness is not None:
         raise NotContained(witness)
-    winners = chamber_winners(g, Tf)
+    if len(winners) != len(Tf.chambers):
+        raise CertificateError("a chamber of T(f) has no winning term of g")
     wup = extend_weights(f, g, Tf, winners)
     for wk in sorted(Tf.walls):
         if Tf.wall_weights[wk] < wup[wk]:
@@ -252,14 +245,12 @@ def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
 # reconstruction
 
 
-def reconstruct_from_fan(fan: Fan, weights: Dict,
-                         wall_normal: Optional[Callable] = None) -> LatticePolytope:
+def reconstruct_from_fan(fan: Fan, weights: Dict) -> LatticePolytope:
     """The polytope whose support function has the given wall increments.
 
-    weights maps every wall key of the (complete) fan to a number; the
-    fan's normal directions are scaled to primitive lattice vectors unless
-    wall_normal overrides that (the Coxeter fans pass unit roots).  The
-    result is translated so its lexicographically smallest vertex is the
+    weights maps every wall key of the (complete) fan to a lattice
+    length, a multiple of the primitive normal of the wall.  The result
+    is translated so its lexicographically smallest vertex is the
     origin.  Signed weights are accepted; only loop closure is required.
 
     With weights >= 0 the result knows its chamber table (see
@@ -278,9 +269,6 @@ def reconstruct_from_fan(fan: Fan, weights: Dict,
     missing = [k for k in fan.walls if k not in weights]
     if missing:
         raise NotBalanced(f"{len(missing)} walls carry no weight")
-    if wall_normal is None:
-        def wall_normal(key, inward):
-            return primitive_of_rational(inward)
     grads = {0: tuple(Fraction(0) for _ in range(fan.n))}
     order = [0]
     adj = {i: [] for i in range(len(fan.chambers))}
@@ -288,12 +276,11 @@ def reconstruct_from_fan(fan: Fan, weights: Dict,
         if len(sides) != 2:
             raise NotBalanced("fan is not complete: a wall has one side")
         (i, ai), (j, aj) = sides
-        adj[i].append((j, k, aj))
-        adj[j].append((i, k, ai))
+        adj[i].append((j, k, primitive_of_rational(aj)))
+        adj[j].append((i, k, primitive_of_rational(ai)))
     while order:
         i = order.pop()
-        for j, k, inward in adj[i]:
-            step = wall_normal(k, inward)
+        for j, k, step in adj[i]:
             target = vadd(grads[i], tuple(weights[k] * x for x in step))
             if j in grads:
                 if grads[j] != tuple(target):
@@ -304,13 +291,25 @@ def reconstruct_from_fan(fan: Fan, weights: Dict,
                 order.append(j)
     if len(grads) != len(fan.chambers):
         raise NotBalanced("chamber graph is disconnected")
-    table = [demote_vector(grads[i]) for i in range(len(fan.chambers))]
-    P = LatticePolytope(table)
+    table = [grads[i] for i in range(len(fan.chambers))]
     if all(sign(weights[k]) >= 0 for k in fan.walls):
-        index = {v: i for i, v in enumerate(P.vertices)}
-        if set(table) != set(index):
-            raise CertificateError(
-                "the chamber gradients of a convex support function are "
-                "not the vertices of their hull")
-        P.chamber_table = (fan, tuple(index[v] for v in table))
+        return hull_of_table(fan, table)
+    return LatticePolytope(table).normalize_translation()
+
+
+def hull_of_table(fan: Fan, table) -> LatticePolytope:
+    """The hull of the gradients of a convex support function, translated.
+
+    table lists one gradient per chamber of fan; the hull keeps it as
+    its chamber table (see reconstruct_from_fan) once it is checked to
+    hit every vertex, CertificateError if not.
+    """
+    table = [demote_vector(v) for v in table]
+    P = LatticePolytope(table)
+    index = {v: i for i, v in enumerate(P.vertices)}
+    if set(table) != set(index):
+        raise CertificateError(
+            "the chamber gradients of a convex support function are not "
+            "the vertices of their hull")
+    P.chamber_table = (fan, tuple(index[v] for v in table))
     return P.normalize_translation()

@@ -80,8 +80,8 @@ class QuadExt:
     def __init__(self, a, b=0, d: int = 2):
         if d <= 1:
             raise ValueError("d must be a square-free integer > 1")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
         self.d = d
 
     # -- coercion ----------------------------------------------------------

@@ -225,11 +225,13 @@ def _cone_from_hrep(obj, n: int) -> Polyhedron:
 def _expect_complete_fan(fan: Fan):
     """SchemaError unless the cones meet like the chambers of a complete fan.
 
-    No chamber's interior point may lie in another chamber, and a
-    relative-interior point of every wall must lie in exactly two.
+    Every chamber is full-dimensional, no chamber's interior point may
+    lie in another chamber, and a relative-interior point of every wall
+    must lie in exactly two.
     """
     chambers = fan.chambers
     for i, C in enumerate(chambers):
+        _expect(C.dim() == fan.n, f"cone {i} is not full-dimensional")
         p = C.relative_interior_point()
         _expect(not any(D.contains(p) for j, D in enumerate(chambers)
                         if j != i),

@@ -36,6 +36,7 @@ from .exact import (
     in_lattice,
     integer_nullspace,
     nonnegative_basis,
+    primitive_of_rational,
     rational_content,
     row_reduce,
     sign,
@@ -47,6 +48,7 @@ from .division import (
     NotContained,
     divide,
     edge_lengths,
+    hull_of_table,
     point_text,
     reconstruct_from_fan,
 )
@@ -54,6 +56,7 @@ from .polyhedra import (
     Fan,
     LatticePolytope,
     dd_cone,
+    demote_vector,
     is_rational_vector,
     normalize_ray,
 )
@@ -72,10 +75,6 @@ class NotASummand(TropfactorError):
     def __init__(self, witness, message):
         self.witness = witness
         super().__init__(message)
-
-
-class NotRefining(TropfactorError):
-    pass
 
 
 class NotRefined(TropfactorError):
@@ -150,42 +149,75 @@ class FactorizationBasis:
     `order`, the sorted wall keys unless given.  `length` measures edges
     in the metric of the weights: lattice length for rational fans, the
     primal norm of the root system for Coxeter fans.
+
+    Each basis polytope B_i is given as a hull (polytopes) or by the
+    chamber table of unit * B_i (tables, see chamber_vertices); the
+    other is derived when first read, so a basis given by tables takes
+    no hull until its polytopes are read.  Coxeter bases of type A keep
+    rational tables with an irrational unit (coxeter.phi_weight_cone_basis).
     """
 
     def __init__(self, fan: Fan, vectors: List[WeightVector],
-                 polytopes: List[LatticePolytope], order=None,
-                 length: Callable = rational_content):
-        self.fan = fan
-        self.vectors = vectors
-        self.polytopes = polytopes
+                 polytopes: Optional[List[LatticePolytope]] = None,
+                 order=None, length: Callable = rational_content,
+                 tables=None, unit=1):
+        self.fan, self.vectors = fan, vectors
+        self._polytopes, self._tables = polytopes, tables
         self.order = sorted(fan.walls) if order is None else list(order)
-        self.length = length
+        self.length, self.unit = length, unit
         self._solver = None
 
-    def coordinates(self, weights: Dict) -> tuple:
-        """The y with sum_i y_i b_i = weights on r independent walls.
+    @property
+    def polytopes(self) -> List[LatticePolytope]:
+        if self._polytopes is None:
+            hulls = [hull_of_table(self.fan, t) for t in self._tables]
+            self._polytopes = hulls if self.unit == 1 else [
+                B.scale(1 / self.unit) for B in hulls]
+        return self._polytopes
 
-        The first call row-reduces the basis matrix once and keeps r
-        walls whose rows are independent with the inverse of that r x r
-        block, so each call is one product.  The other walls are not
-        read: y matches the weights there only when they lie in the span
-        of the basis, which the caller's certificate checks.
+    @property
+    def tables(self) -> List[tuple]:
+        """The tables of unit * B_i; CertificateError if one has none."""
+        if self._tables is None:
+            scaled = (B if self.unit == 1 else B.scale(self.unit)
+                      for B in self.polytopes)
+            try:
+                self._tables = [chamber_vertices(B, self.fan, NotRefined)
+                                for B in scaled]
+            except NotRefined as e:
+                raise CertificateError(
+                    "the basis fan does not refine the normal fan of a "
+                    "basis polytope") from e
+        return self._tables
+
+    def coordinates(self, lattice_weight: Callable) -> tuple:
+        """y / unit for the y with sum_i y_i b_i = the polytope's weights.
+
+        lattice_weight(k) is the lattice length of the polytope's face
+        dual to wall k, and l_k times that its weight, l_k the length of
+        the wall's primitive normal.  The first call keeps r walls whose
+        rows of the basis matrix are independent, with the inverse of
+        that block times l_k / unit, so each call is one product.  The
+        other walls are not read: the caller's certificate checks them.
         CertificateError when the basis vectors are dependent.
         """
         if self._solver is None:
-            mat = self.matrix()
-            r = self.r
+            mat, r = self.matrix(), self.r
             _, pivots = row_reduce(mat)
             if len(pivots) != r:
                 raise CertificateError(
                     "the vectors of a factorization basis are dependent")
-            unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-            red, _ = row_reduce([tuple(row[c] for row in mat) + unit[k]
+            red, _ = row_reduce([tuple(row[c] for row in mat)
+                                 + tuple(int(i == k) for i in range(r))
                                  for k, c in enumerate(pivots)])
-            self._solver = ([self.order[c] for c in pivots],
-                            [row[r:] for row in red])
+            walls = [self.order[c] for c in pivots]
+            scale = demote_vector(self.length(primitive_of_rational(
+                self.fan.wall_chambers[k][0][1])) / self.unit for k in walls)
+            self._solver = (walls, [
+                demote_vector(x * c for x, c in zip(row[r:], scale))
+                for row in red])
         walls, inverse = self._solver
-        w = [weights[k] for k in walls]
+        w = [lattice_weight(k) for k in walls]
         return tuple(dot(row, w) for row in inverse)
 
     @property
@@ -217,7 +249,7 @@ def chamber_vertices(P: LatticePolytope, fan: Fan, not_refined) -> tuple:
     if P.n != fan.n:
         raise ValueError("polytope and fan live in different dimensions")
     if P.chamber_table is None or P.chamber_table[0] is not fan:
-        faces = []
+        faces, at = [], {}  # generator -> its face, shared by chambers
         for C in fan.chambers:
             p = C.relative_interior_point()
             F = set(P.face_vertices(p))
@@ -226,7 +258,9 @@ def chamber_vertices(P: LatticePolytope, fan: Fan, not_refined) -> tuple:
                 dirs.append(l)
                 dirs.append(tuple(-x for x in l))
             for r in dirs:
-                if not F <= set(P.face_vertices(r)):
+                if r not in at:
+                    at[r] = set(P.face_vertices(r))
+                if not F <= at[r]:
                     raise not_refined(
                         "a chamber of the fan crosses a wall of the "
                         "polytope's normal fan", {"point": p, "direction": r})
@@ -346,30 +380,6 @@ def has_scaled_summand(P: LatticePolytope, Q: LatticePolytope) -> bool:
     return len(P.vertices) == len((P + Q).vertices)
 
 
-def is_strict_balanced_coarsening(coarse_fan: Fan, coarse_w: WeightVector,
-                                  fine_fan: Fan, fine_w: WeightVector) -> bool:
-    """Is (coarse_fan, coarse_w) a strict balanced coarsening under (fine_fan, fine_w)?
-
-    Requires fine_fan to refine coarse_fan (else NotRefining); then tests
-    w_fine - coarse_w^ >= 0 with strict inequality somewhere.
-    """
-    if not fine_fan.refines(coarse_fan):
-        raise NotRefining("the fine fan does not refine the coarse fan")
-    strict = False
-    for wk, W in fine_fan.walls.items():
-        up = Fraction(0)
-        for ck, CW in coarse_fan.walls.items():
-            if CW.contains_polyhedron(W):
-                up = coarse_w[ck]
-                break
-        diff = fine_w[wk] - up
-        if diff < 0:
-            return False
-        if diff > 0:
-            strict = True
-    return strict
-
-
 # ---------------------------------------------------------------------------
 # the weight cone and factorization bases
 
@@ -436,23 +446,17 @@ def certify_signed_sum(table, y, basis: FactorizationBasis) -> tuple:
     Support functions add under Minkowski sums and scale under
     dilations, and a polytope is fixed by its support function, so the
     identity holds exactly when v_C(P) - sum(y_i v_C(B_i)) is one and
-    the same vector t on every chamber.  CertificateError when y is
-    None (the weights of P were not in the span of the basis), when a
-    basis polytope is not refined by the fan, or when the differences
-    disagree.
+    the same vector t on every chamber.  The v_C(B_i) are read from the
+    basis tables, those of unit * B_i, against y_i / unit.
+    CertificateError when y is None (the weights of P were not in the
+    span of the basis), when a basis polytope is not refined by the
+    fan, or when the differences disagree.
     """
     if y is None:
         raise CertificateError(
             "the wall weights lie outside the span of the basis")
-    terms = []
-    for c, B in zip(y, basis.polytopes):
-        if sign(c):
-            try:
-                terms.append((c, chamber_vertices(B, basis.fan, NotRefined)))
-            except NotRefined as e:
-                raise CertificateError(
-                    "the basis fan does not refine the normal fan of a "
-                    "basis polytope") from e
+    scaled = y if basis.unit == 1 else demote_vector(c / basis.unit for c in y)
+    terms = [(c, T) for c, T in zip(scaled, basis.tables) if sign(c)]
     t = None
     for k, v in enumerate(table):
         for c, vertices in terms:
@@ -598,33 +602,3 @@ def _certify_pair(P: LatticePolytope, R: LatticePolytope,
     if (R + R2).normalize_translation() != P.normalize_translation():
         raise CertificateError(
             "a summand pair does not add up to the polytope")
-
-
-def complete_factorizations(P: LatticePolytope,
-                            max_cones: Optional[int] = None):
-    """All factorizations of P into minimal summands, as sorted tuples.
-
-    Repeated summands are reported with multiplicity.  Recursion follows
-    maximal_summand_pairs; results are deduplicated as multisets and the
-    recursion is memoized on translation-normalized vertex sets.
-    """
-    memo: Dict[tuple, list] = {}
-
-    def go(X: LatticePolytope):
-        key = X.vertices
-        if key in memo:
-            return memo[key]
-        pairs = maximal_summand_pairs(X, max_cones)
-        if not pairs:
-            out = [(X,)]
-        else:
-            acc = set()
-            for R, R2 in pairs:
-                for rest in go(R2.normalize_translation()):
-                    acc.add(tuple(sorted((R.normalize_translation(),) + rest,
-                                         key=lambda T: T.vertices)))
-            out = sorted(acc, key=lambda c: (len(c), [T.vertices for T in c]))
-        memo[key] = out
-        return out
-
-    return go(P.normalize_translation())

@@ -369,9 +369,6 @@ class Polyhedron:
     def lineality(self):
         return self._compute_vrep()[2]
 
-    def is_empty(self) -> bool:
-        return not self.vertices
-
     def dim(self) -> int:
         verts, rays, lin = self._compute_vrep()
         if not verts:
@@ -782,6 +779,7 @@ class Fan:
         self._ridges = None
         self.wall_weights = None
         self.wall_duals = None
+        self.heights = None  # coxeter.ray_heights of a simplicial fan
 
     def _compute_cells(self):
         """Walls and ridges as faces of the chambers, with no hull per cell.

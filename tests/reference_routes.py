@@ -7,14 +7,23 @@ Coxeter fan, the balancing formulation the library replaced by the
 lattice balancing matrix with metric columns.  covector_lift finds the
 primitive vector of a wall over a ridge in Z^n through saturated
 direction lattices, where the library reads its image in the ridge's
-quotient coordinates off two interior points.
+quotient coordinates off two interior points.  phi_kernel_by_nullspace
+and phi_expand_over_the_field are the Coxeter weight kernel by
+elimination of the balancing matrix and the expansion with every wall
+length over Q(sqrt(2)), where the library reads both off ray heights.
+
+The rest are notions of the source paper that no library routine calls:
+the restriction of ordered partitions, which weight_matrix evaluates on
+bitmasks, strict balanced coarsenings, and complete factorizations by
+recursion over maximal_summand_pairs.
 """
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional
 
 from tropfactor.exact import (
     CertificateError,
+    TropfactorError,
     dot,
     in_lattice,
     integer_nullspace,
@@ -24,7 +33,22 @@ from tropfactor.exact import (
     solve_linear,
     vsub,
 )
-from tropfactor.polyhedra import LatticePolytope, integer_row, rref_basis
+from tropfactor.minkowski import (
+    FactorizationBasis,
+    WeightVector,
+    certify_signed_sum,
+    chamber_vertices,
+    maximal_summand_pairs,
+    wall_lengths,
+)
+from tropfactor.permutahedra import OrderedPartition, TooSmall, quotient_point
+from tropfactor.polyhedra import (
+    Fan,
+    LatticePolytope,
+    demote_vector,
+    integer_row,
+    rref_basis,
+)
 from tropfactor.tropical import annihilator_lattice
 
 
@@ -194,3 +218,138 @@ def root_form_rows(cf) -> RootForm:
                 norms[col[plus]] = norms[col[minus]] = rs.root_norm(r)
             rows.append(tuple(row))
     return RootForm(pairs, rows, norms)
+
+
+def phi_kernel_by_nullspace(cf) -> list:
+    """ker Phi over Q by one elimination of the balancing matrix Phi.
+
+    Each vector z, with its free column f as the last non-zero entry, is
+    rescaled to the metric weights z_j l_j / l_f.
+    """
+    Phi, lengths = cf.balance_rows()
+    out = []
+    for z in nullspace_field(Phi, ncols=len(cf.wall_order)):
+        f = max(j for j, x in enumerate(z) if x)
+        out.append(demote_vector(
+            x if not x or lengths[j] == lengths[f]
+            else x * lengths[j] / lengths[f] for j, x in enumerate(z)))
+    return out
+
+
+def phi_expand_over_the_field(P, basis, not_refined) -> tuple:
+    """The expansion of P with every wall length in the metric.
+
+    All wall lengths of P are taken over Q(sqrt(2)), y comes from one
+    field solve against the whole basis matrix, and the chamber
+    certificate runs on the basis polytopes themselves (unit 1).
+    """
+    wp = wall_lengths(P, basis.fan, basis.length, not_refined)
+    mat = basis.matrix()
+    y = solve_linear([tuple(row[j] for row in mat)
+                      for j in range(len(basis.order))],
+                     [wp[k] for k in basis.order])
+    metric = FactorizationBasis(basis.fan, basis.vectors, basis.polytopes,
+                                order=basis.order, length=basis.length)
+    return demote_vector(certify_signed_sum(
+        chamber_vertices(P, basis.fan, not_refined), y, metric))
+
+
+# ---------------------------------------------------------------------------
+# notions of the paper that the library does not call
+
+
+class NotRestricting:
+    """Marker: deleting non-I blocks did not leave an ordered partition of I."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return f"NotRestricting({self.reason!r})"
+
+
+def restricts_to(pi: OrderedPartition, I: Iterable[int]):
+    """The restriction pi|_I, or a NotRestricting marker.
+
+    Blocks containing any element outside I are deleted wholesale; the
+    survivors must again form an ordered partition of I with a doubleton.
+    """
+    Iset = set(I)
+    if len(Iset) < 2:
+        raise TooSmall("restriction targets need at least two elements")
+    kept = [b for b in pi.blocks if set(b) <= Iset]
+    covered = {x for b in kept for x in b}
+    if covered != Iset:
+        return NotRestricting("deletion removed elements of I")
+    if not any(len(b) == 2 for b in kept):
+        return NotRestricting("the doubleton was deleted")
+    return OrderedPartition(kept)
+
+
+def root_direction(i: int, j: int, n: int) -> tuple:
+    """The image of e_i - e_j in quotient coordinates."""
+    z = [0] * (n + 1)
+    z[i - 1] += 1
+    z[j - 1] -= 1
+    return quotient_point(z)
+
+
+class NotRefining(TropfactorError):
+    pass
+
+
+def is_strict_balanced_coarsening(coarse_fan: Fan, coarse_w: WeightVector,
+                                  fine_fan: Fan, fine_w: WeightVector) -> bool:
+    """Is (coarse_fan, coarse_w) a strict balanced coarsening under (fine_fan, fine_w)?
+
+    Requires fine_fan to refine coarse_fan (else NotRefining); then tests
+    w_fine - coarse_w^ >= 0 with strict inequality somewhere.
+    """
+    if not fine_fan.refines(coarse_fan):
+        raise NotRefining("the fine fan does not refine the coarse fan")
+    strict = False
+    for wk, W in fine_fan.walls.items():
+        up = Fraction(0)
+        for ck, CW in coarse_fan.walls.items():
+            if CW.contains_polyhedron(W):
+                up = coarse_w[ck]
+                break
+        diff = fine_w[wk] - up
+        if diff < 0:
+            return False
+        if diff > 0:
+            strict = True
+    return strict
+
+
+def complete_factorizations(P: LatticePolytope,
+                            max_cones: Optional[int] = None):
+    """All factorizations of P into minimal summands, as sorted tuples.
+
+    Repeated summands are reported with multiplicity.  Recursion follows
+    maximal_summand_pairs; results are deduplicated as multisets and the
+    recursion is memoized on translation-normalized vertex sets.
+    """
+    memo: Dict[tuple, list] = {}
+
+    def go(X: LatticePolytope):
+        key = X.vertices
+        if key in memo:
+            return memo[key]
+        pairs = maximal_summand_pairs(X, max_cones)
+        if not pairs:
+            out = [(X,)]
+        else:
+            acc = set()
+            for R, R2 in pairs:
+                for rest in go(R2.normalize_translation()):
+                    acc.add(tuple(sorted((R.normalize_translation(),) + rest,
+                                         key=lambda T: T.vertices)))
+            out = sorted(acc, key=lambda c: (len(c), [T.vertices for T in c]))
+        memo[key] = out
+        return out
+
+    return go(P.normalize_translation())

@@ -55,6 +55,11 @@ TENT_G_OBJ = {"dim": 2, "terms": [
 S_OBJ = {"dim": 2, "vertices": [[1, 0], [0, 1], [2, 0], [0, 2],
                                 [3, 1], [3, 2], [2, 3], [1, 3]]}
 TRI_OBJ = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+# lower-dimensional cones: the four quadrants of the plane z = 0 in R^3
+QUADRANTS_OF_A_PLANE = {"dim": 3, "cones": [
+    [{"normal": [sx, 0, 0], "rhs": 0}, {"normal": [0, sy, 0], "rhs": 0},
+     {"normal": [0, 0, 1], "rhs": 0, "eq": True}]
+    for sx in (1, -1) for sy in (1, -1)]}
 P1_OBJ = {"dim": 2, "vertices": [[0, 0], [1, -1], [2, 0]]}
 SQRT2 = {"a": 0, "b": 1, "d": 2}
 # the unit triangle dilated by sqrt(2): vertices in Q(sqrt(2))^2
@@ -285,6 +290,18 @@ class TestBasisAndExpand:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "SchemaError"
 
+    def test_lower_dimensional_cones_are_rejected(self, files, capsys):
+        # the four quadrants of the plane z = 0 in R^3
+        fan_file = files["root"] / "plane_fan.json"
+        fan_file.write_text(json.dumps(QUADRANTS_OF_A_PLANE))
+        for argv in (["basis", str(fan_file)],
+                     ["expand", str(files["tri"]), str(fan_file)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "SchemaError"
+            assert "full-dimensional" in payload["message"]
+
     @pytest.mark.parametrize("flag", ["yes", 1, None])
     def test_non_boolean_eq_is_rejected(self, files, capsys, flag):
         fan_file = files["root"] / "eq_fan.json"
@@ -435,6 +452,7 @@ class TestCoxeter:
 COXETER_BASIS_SHA256 = {
     "A2": "6904db88c4eace614820d4e392cdcf4807e99aed8ac0af86dc61e00cdc799b54",
     "A3": "1357f546bfdcb7e1e250871e67b4391f9f3946f25621c636d1984226e07fdc18",
+    "A4": "f232fe0da9898d7b03c947483131813e32917acc0dbc71c7b2ab4ec49c463547",
     "B2": "9d21ad12832af89d3931874a280394084e4e87ac98128f26f677a6c20419b73e",
 }
 
@@ -586,7 +604,7 @@ MINKOWSKI_POLYTOPES = [
     SQRT2_TRI_OBJ]
 MINKOWSKI_FANS = [_fan_json(OCTAGON_VERTICES), _fan_json(HEXAGON_VERTICES),
                   _fan_json([(0, 0), (1, 0), (0, 1)]),
-                  _fan_json(TETRA_VERTICES)]
+                  _fan_json(TETRA_VERTICES), QUADRANTS_OF_A_PLANE]
 
 
 def _mutate_fan(data, obj):

@@ -17,6 +17,8 @@ import pytest
 
 from reference_routes import (
     covector_lift,
+    phi_expand_over_the_field,
+    phi_kernel_by_nullspace,
     root_form_rows,
     signed_sum_holds,
     wall_lengths_by_face_queries,
@@ -33,6 +35,7 @@ from tropfactor.coxeter import (
     phi_permutahedron,
     phi_weight_cone_basis,
     phi_weights,
+    ray_heights,
     reconstruct_phi,
     root_balanced,
 )
@@ -59,7 +62,12 @@ from tropfactor.minkowski import (
     wall_lengths,
     weight_cone_basis,
 )
-from tropfactor.permutahedra import canonical_subsets, simplex_polytope, universal_fan
+from tropfactor.permutahedra import (
+    canonical_subsets,
+    simplex_polytope,
+    universal_fan,
+    weight_matrix,
+)
 from tropfactor.polyhedra import LatticePolytope, demote_vector, normalize_ray
 from tropfactor.tropical import annihilator_lattice, balance_violation
 
@@ -733,14 +741,28 @@ def direct_norm(rs, d):
 
 
 def reference_reconstruct(cf, w):
-    """Support integration stepping along p / |p| for every wall."""
-    def wall_normal(key, inward):
-        p = primitive_of_rational(inward)
-        nrm = direct_norm(cf.rs, p)
-        return demote_vector(x / nrm for x in p)
+    """Support integration stepping by w_F p / |p| across every wall F.
 
-    return reconstruct_from_fan(cf.fan, cf.weight_dict(w),
-                                wall_normal=wall_normal)
+    A walk over the chamber graph from chamber 0; NotBalanced when two
+    paths reach a chamber with different gradients.
+    """
+    by_key = cf.weight_dict(w)
+    grads, todo = {0: (Fraction(0),) * cf.rs.n}, [0]
+    while todo:
+        i = todo.pop()
+        for k, sides in cf.fan.wall_chambers.items():
+            for (a, _), (b, inward) in (sides, sides[::-1]):
+                if a != i:
+                    continue
+                p = primitive_of_rational(inward)
+                step = vscale(by_key[k] / direct_norm(cf.rs, p), p)
+                target = demote_vector(vadd(grads[i], step))
+                if b not in grads:
+                    grads[b] = target
+                    todo.append(b)
+                elif grads[b] != target:
+                    raise NotBalanced(f"the walk disagrees across wall {k}")
+    return LatticePolytope(list(grads.values())).normalize_translation()
 
 
 def typed(v):
@@ -852,15 +874,11 @@ class TestMetricRowsAgainstRootForm:
     def test_same_kernel(self, tag):
         cf = cfan(tag)
         m = len(cf.wall_order)
-        metric = []
-        for row in cf.metric_rows():
-            dense = [Fraction(0)] * m
-            for j, x in row:
-                dense[j] = x
-            metric.append(tuple(dense))
+        Phi, lengths = cf.balance_rows()
+        metric = [tuple(x / lengths[j] if x else Fraction(0)
+                        for j, x in enumerate(row)) for row in Phi]
         assert nullspace_field(metric, ncols=m) == \
             nullspace_field(reference_phi_rows(cf), ncols=m)
-        Phi, _ = cf.balance_rows()
         assert nullspace_field(Phi, ncols=m) == \
             nullspace_field(root_form_rows(cf).rows, ncols=m)
 
@@ -899,19 +917,111 @@ class TestBasisChecksSurvivePythonO:
             def basis():
                 return coxeter.phi_weight_cone_basis(coxeter.coxeter_fan(rs))
 
-            nullspace = coxeter.nullspace_field
+            image_basis = coxeter.RayHeights.image_basis
             # unit vectors are not balanced
-            coxeter.nullspace_field = lambda rows, ncols: [
-                tuple(Fraction(int(i == j)) for j in range(ncols))
-                for i in range(ncols)]
+            coxeter.RayHeights.image_basis = lambda self, order: [
+                (tuple(Fraction(int(i == j)) for j in range(len(order))),
+                 (Fraction(0),) * len(self.rays))
+                for i in range(len(order))]
             expect_failure(basis)
             # balanced vectors that miss the all-ones vector
-            coxeter.nullspace_field = lambda rows, ncols: nullspace(
-                rows, ncols)[:-1]
+            coxeter.RayHeights.image_basis = lambda self, order: image_basis(
+                self, order)[:-1]
+            expect_failure(basis)
+            # heights that do not give their vectors
+            coxeter.RayHeights.image_basis = lambda self, order: [
+                (z, tuple(2 * x for x in h))
+                for z, h in image_basis(self, order)]
             expect_failure(basis)
             print(failures)
             """)
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "2"
+        assert proc.stdout.strip() == "3"
+
+
+# ---------------------------------------------------------------------------
+# ray heights against the routes they replaced: the kernel by elimination
+# of Phi and the expansion with every wall length over Q(sqrt(2))
+
+
+class TestRayHeights:
+    @pytest.mark.parametrize("tag", ("A1", "A2", "A3", "A4", "B2"))
+    def test_kernel_equals_the_nullspace_route(self, tag):
+        cf = cfan(tag)
+        heights = ray_heights(cf.fan)
+        image = heights.image_basis(cf.wall_order)
+        Phi, _ = cf.balance_rows()
+        assert [typed(z) for z, _ in image] == \
+            [typed(z) for z in nullspace_field(Phi, ncols=len(cf.wall_order))]
+        for z, h in image:
+            assert tuple(heights.weight(k, h) for k in cf.wall_order) == z
+        assert len(image) == len(heights.rays) - cf.rs.n
+
+    @pytest.mark.parametrize("tag", ("A2", "A3", "B2"))
+    def test_basis_vectors_equal_the_nullspace_route(self, tag):
+        cf = cfan(tag)
+        ref = phi_kernel_by_nullspace(cf)
+        ones = (Fraction(1),) * len(cf.wall_order)
+        assert tuple(map(sum, zip(*ref))) == ones
+        want = [ones] + [demote_vector(vadd(v, vscale(-min(v), ones))
+                                       if min(v) < 0 else v)
+                         for v in ref[1:]]
+        assert [typed(v) for v in phi_basis(tag).matrix()] == \
+            [typed(v) for v in want]
+
+    @pytest.mark.parametrize("tag,trials", [("A2", 6), ("A3", 3), ("B2", 6)])
+    def test_expansions_equal_the_field_route(self, tag, trials):
+        rs, basis = rsys(tag), phi_basis(tag)
+        rng = random.Random(tag + "expand")
+        for _ in range(trials):
+            while True:
+                x = tuple(Fraction(rng.randint(-15, 15), rng.choice((1, 2, 3,
+                                                                     5)))
+                          for _ in range(rs.n))
+                try:
+                    P = phi_permutahedron(rs, x)
+                    break
+                except PointOnHyperplane:
+                    continue
+            y = phi_expand(P, basis)
+            ref = phi_expand_over_the_field(P, basis, NotAPhiPolytope)
+            assert repr(y) == repr(ref) and typed(y) == typed(ref)
+            assert signed_sum_holds(P, y, basis.polytopes)
+
+    @pytest.mark.parametrize("tag", ("A3", "B2"))
+    def test_non_phi_polytope_has_a_checked_witness(self, tag):
+        rs, basis = rsys(tag), phi_basis(tag)
+        P = LatticePolytope([tuple(int(i == j) for j in range(rs.n))
+                             for i in range(rs.n)]
+                            + [(0,) * (rs.n - 1) + (3,), (0,) * rs.n])
+        P = LatticePolytope(list(P.vertices) + [(3,) + (1,) * (rs.n - 1)])
+        with pytest.raises(NotAPhiPolytope) as info:
+            phi_expand(P, basis)
+        point, direction = (info.value.witness[k]
+                            for k in ("point", "direction"))
+        assert not set(P.face_vertices(point)) <= \
+            set(P.face_vertices(direction))
+        with pytest.raises(NotAPhiPolytope) as ref:
+            phi_expand_over_the_field(P, basis, NotAPhiPolytope)
+        assert ref.value.witness == info.value.witness
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_heights_of_simplices_give_the_weight_matrix(self, n):
+        uf = universal_fan(n)
+        heights = ray_heights(uf.fan)
+        W = weight_matrix(n)
+        for I in W.subsets:
+            D = simplex_polytope(I, n)
+            h = [max(dot(rho, v) for v in D.vertices) for rho in heights.rays]
+            got = tuple(heights.weight(uf.wall_of[pi], h)
+                        for pi in W.partitions)
+            assert got == W.column_of(I), I
+
+    def test_expansion_builds_no_basis_hull(self):
+        basis = phi_weight_cone_basis(cfan("A3"))
+        P = phi_permutahedron(rsys("A3"), (3, -1, 2))
+        phi_expand(P, basis)
+        assert basis._polytopes is None
+        assert len(basis.polytopes) == basis.r

@@ -194,6 +194,20 @@ class TestWeightedFanFormat:
             with pytest.raises(SchemaError):
                 weighted_fan_from_json({"dim": 2, "cones": cones})
 
+    def test_lower_dimensional_cones_are_rejected(self):
+        # the four quadrants of the plane z = 0 in R^3
+        cones = [[{"normal": [sx, 0, 0], "rhs": 0},
+                  {"normal": [0, sy, 0], "rhs": 0},
+                  {"normal": [0, 0, 1], "rhs": 0, "eq": True}]
+                 for sx in (1, -1) for sy in (1, -1)]
+        with pytest.raises(SchemaError, match="full-dimensional"):
+            weighted_fan_from_json({"dim": 3, "cones": cones})
+        # the same cones without the equality row form a complete fan
+        for c in cones:
+            del c[2]
+        fan, _ = weighted_fan_from_json({"dim": 3, "cones": cones})
+        assert len(fan.chambers) == 4
+
     def test_mismatched_weight_keys_rejected_on_encode(self):
         fan = OCTAGON.normal_fan()
         with pytest.raises(ValueError):

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from reference_routes import signed_sum_holds, wall_lengths_by_face_queries
+from reference_routes import (
+    NotRefining,
+    complete_factorizations,
+    is_strict_balanced_coarsening,
+    signed_sum_holds,
+    wall_lengths_by_face_queries,
+)
 from tropfactor import minkowski
 from tropfactor.division import reconstruct_from_fan
 from tropfactor.exact import CertificateError, rational_content, same_lattice
@@ -15,19 +21,16 @@ from tropfactor.minkowski import (
     NotASummand,
     NotPolytopal,
     NotRefined,
-    NotRefining,
     TooLarge,
     WeightVector,
     balanced_weight_lattice,
     certify_signed_sum,
     chamber_vertices,
-    complete_factorizations,
     expand_in_basis,
     extended_weights,
     factor,
     has_scaled_summand,
     is_indecomposable,
-    is_strict_balanced_coarsening,
     is_summand,
     maximal_summand_pairs,
     polytope_weights,

@@ -72,11 +72,11 @@ class TestPolyhedronHRep:
         assert len(P.lineality) == 1
         assert normalize_ray(P.lineality[0]) in [(1, -1), (-1, 1)]
         assert P.dim() == 2
-        assert not P.is_empty()
+        assert P.vertices
 
     def test_empty(self):
         P = Polyhedron(1, [((1,), 0), ((-1,), -1)])
-        assert P.is_empty()
+        assert not P.vertices
         assert P.dim() == -1
 
     def test_equalities(self):
@@ -687,7 +687,7 @@ def reference_cells(fan):
         ineqs, eqs = W.minimal_hrep()
         for a, b in ineqs:
             R = Polyhedron(fan.n, ineqs, eqs + [(a, b)])
-            if R.is_empty() or R.dim() != fan.n - 2:
+            if not R.vertices or R.dim() != fan.n - 2:
                 continue
             ridges.add(R.key())
             if wk not in star.setdefault(R.key(), []):

@@ -8,7 +8,7 @@ from reference_routes import covector_lift, direction_lattice
 from tropfactor.coxeter import build_root_system, coxeter_fan
 from tropfactor.exact import dot
 from tropfactor.formats import weighted_fan_from_json
-from tropfactor.polyhedra import LatticePolytope
+from tropfactor.polyhedra import Fan, LatticePolytope, Polyhedron
 from tropfactor.tropical import (
     TropicalComplex,
     TropicalPolynomial,
@@ -213,9 +213,8 @@ class TestCovector:
         assert [tuple(map(abs, v)) for v in L] == [(1, 1)]
 
 
-def _json_cone(*normals, eq=()):
-    return ([{"normal": list(a), "rhs": 0, "eq": False} for a in normals]
-            + [{"normal": list(a), "rhs": 0, "eq": True} for a in eq])
+def _json_cone(*normals):
+    return [{"normal": list(a), "rhs": 0, "eq": False} for a in normals]
 
 
 def _covector_cases():
@@ -247,13 +246,13 @@ def _covector_cases():
              random_polynomial(rng, 2, max_terms=7).terms.items()})))
     quadrants_line = {"dim": 3, "cones": [
         _json_cone((sx, 0, 0), (0, sy, 0)) for sx in (1, -1) for sy in (1, -1)]}
+    cases.append(weighted_fan_from_json(quadrants_line)[0])
     # the same quadrants in the plane z = 0, cut out by an equality row:
-    # the walls are rays, so no ridge of dimension n - 2 and no rows
-    quadrants_plane = {"dim": 3, "cones": [
-        _json_cone((sx, 0, 0), (0, sy, 0), eq=[(0, 0, 1)])
-        for sx in (1, -1) for sy in (1, -1)]}
-    for obj in (quadrants_line, quadrants_plane):
-        cases.append(weighted_fan_from_json(obj)[0])
+    # the walls are rays, so no ridge of dimension n - 2 and no rows.
+    # The JSON fan format rejects such cones, so the fan is built directly.
+    cases.append(Fan([Polyhedron(3, [((sx, 0, 0), 0), ((0, sy, 0), 0)],
+                                 [((0, 0, 1), 0)])
+                      for sx in (1, -1) for sy in (1, -1)]))
     for tag in ("A1", "A2", "A3", "B2"):
         cases.append(coxeter_fan(build_root_system(tag)).fan)
     return cases
