@@ -36,6 +36,7 @@ from .minkowski import (
     factor,
     weight_cone_basis,
 )
+from .polyhedra import DegeneratePolytope
 from .permutahedra import (
     NotInCone,
     TooSmall,
@@ -47,7 +48,7 @@ from .selftest import run_selftest
 from .svg import UnsupportedDimension
 
 _INPUT_ERRORS = (SchemaError, UnsupportedType, UnsupportedDimension,
-                 TooLarge, TooSmall, ValueError)
+                 DegeneratePolytope, TooLarge, TooSmall, ValueError)
 
 
 def _log(args, message: str):

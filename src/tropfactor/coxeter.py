@@ -11,10 +11,12 @@ balancing matrix Phi (tropical.balance_matrix).
 The fans are simplicial: a support function is fixed by its heights on
 the rays, and the lattice weights of the walls are linear in them (the
 height map M of RayHeights, whose image is ker Phi).  The weight kernel
-comes from one elimination of M, a basis polytope is its table of
-chamber gradients, and an expansion reads a polytope's heights once
-per ray.  In type A all mirror directions have one primal norm u, so
-that work runs in lattice units, on rationals, and scales by u once.
+comes from one elimination of M, and a basis polytope is its table of
+chamber gradients.  An expansion is the one of every factorization
+basis (FactorizationBasis.expand): it reads the lattice weights of a
+polytope off the steps of its chamber table.  In type A all mirror
+directions have one primal norm u, so that work runs in lattice units,
+on rationals, and scales by u once.
 
 Type A_n is coordinatized on the quotient of R^{n+1} by the diagonal:
 points of the fan's ambient space are the action coordinates (f_1, ...,
@@ -51,8 +53,6 @@ from .minkowski import (
     FactorizationBasis,
     NotRefined,
     WeightVector,
-    certify_signed_sum,
-    chamber_vertices,
     wall_lengths,
 )
 from .polyhedra import (
@@ -404,9 +404,10 @@ class RayHeights:
     solves rho . x = h(rho) for the n rays of C (table).  The lattice
     weight of the wall between C and D is x_D - x_C along the primitive
     inward normal p of D: (h(rho_D) - rho_D . x_C(h)) / (rho_D . p) for
-    the ray rho_D of D off the wall (weight).  The kernel of M is the
-    linear functions and its image is ker Phi, McMullen's wall-crossing
-    description of the type cone (arXiv:1906.06861, section 2).
+    the ray rho_D of D off the wall, the column of M for that wall
+    (columns).  The kernel of M is the linear functions and its image is
+    ker Phi, McMullen's wall-crossing description of the type cone
+    (arXiv:1906.06861, section 2).
     """
 
     def __init__(self, fan: Fan):
@@ -433,22 +434,11 @@ class RayHeights:
                 if lam:
                     col[e] = -lam / c
 
-    def heights(self, table) -> list:
-        """h(rho) = rho . v_C, one chamber C per ray, for a chamber table."""
-        h = {}
-        for ids, v in zip(self.chamber_rays, table):
-            h.update((e, dot(self.rays[e], v)) for e in ids if e not in h)
-        return [h[e] for e in range(len(self.rays))]
-
     def table(self, h) -> tuple:
         """The gradients x_C(h), in fan.chambers order."""
         return tuple(demote_vector(dot(row, [h[e] for e in ids])
                                    for row in inv)
                      for ids, inv in zip(self.chamber_rays, self.inverse))
-
-    def weight(self, key, h):
-        """The lattice weight of wall key under the heights h."""
-        return sum(c * h[e] for e, c in self.columns[key].items())
 
     def image_basis(self, order) -> list:
         """The reduced basis of the image of M, as (z, h) with M . h = z.
@@ -540,9 +530,8 @@ def phi_weight_cone_basis(cf: CoxeterFan) -> FactorizationBasis:
                 "basis vector across the walls")
     return FactorizationBasis(
         cf.fan, [WeightVector(cf.fan, dict(zip(cf.wall_order, v)))
-                 for v, _ in out],
-        order=cf.wall_order, length=cf.rs.primal_norm, tables=tables,
-        unit=unit)
+                 for v, _ in out], tables,
+        order=cf.wall_order, length=cf.rs.primal_norm, unit=unit)
 
 
 def reconstruct_phi(cf: CoxeterFan, w) -> LatticePolytope:
@@ -581,20 +570,16 @@ def phi_weights(P: LatticePolytope, cf: CoxeterFan) -> Dict:
 def phi_expand(P: LatticePolytope, basis: FactorizationBasis) -> tuple:
     """The unique y over the basis with w_P = sum_i y_i b_i.
 
-    chamber_vertices checks that the Coxeter fan refines the normal fan
-    of P (NotAPhiPolytope with its witness) and gives the vertex v_C of
-    each chamber.  The heights rho . v_C, one per ray, give the lattice
-    weights of P on the walls that FactorizationBasis.coordinates reads,
-    and those give y / u, rational in type A.  y is verified as the
-    signed Minkowski identity P + sum(y_i^- B_i) = sum(y_i^+ B_i) up to
-    translation on every chamber (certify_signed_sum) before it is
-    returned.
+    FactorizationBasis.expand with NotAPhiPolytope: chamber_vertices
+    checks that the Coxeter fan refines the normal fan of P, with its
+    witness, and gives the vertex v_C of each chamber.  The steps of
+    that table across the walls are the lattice weights of P, and r of
+    them give y / u, rational in type A.  y is verified as the signed
+    Minkowski identity P + sum(y_i^- B_i) = sum(y_i^+ B_i) up to
+    translation on every chamber, against the basis tables of u B_i and
+    y / u, before it is returned.
     """
-    table = chamber_vertices(P, basis.fan, NotAPhiPolytope)
-    heights = ray_heights(basis.fan)
-    h = heights.heights(table)
-    y = vscale(basis.unit, basis.coordinates(lambda k: heights.weight(k, h)))
-    return demote_vector(certify_signed_sum(table, demote_vector(y), basis))
+    return basis.expand(P, NotAPhiPolytope)
 
 
 def phi_permutahedron(rs: RootSystem, x) -> LatticePolytope:

@@ -14,11 +14,12 @@ at every vertex, along every ray and along both directions of every
 lineality generator.  When a term overtakes it, the first tie on the way
 there is a point of V(g) inside the open chamber.
 
-reconstruct_from_fan integrates a weighted complete fan back into a
-polytope: walking the chamber graph, the supporting linear form changes
-by weight times wall normal at each crossing, and the gradients of the
-resulting forms are the vertices.  Loop closure of this integration is
-exactly the balancing condition, so unbalanced input raises NotBalanced.
+support_table integrates a weighted complete fan: walking the chamber
+graph, the supporting linear form changes by weight times wall normal
+at each crossing, and the gradients of the resulting forms are the
+vertices of the polytope that reconstruct_from_fan returns.  Loop
+closure of this integration is exactly the balancing condition, so
+unbalanced input raises NotBalanced.
 """
 
 from __future__ import annotations
@@ -245,26 +246,17 @@ def divide(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
 # reconstruction
 
 
-def reconstruct_from_fan(fan: Fan, weights: Dict) -> LatticePolytope:
-    """The polytope whose support function has the given wall increments.
+def support_table(fan: Fan, weights: Dict) -> list:
+    """The gradients of the support function with the given wall increments.
 
     weights maps every wall key of the (complete) fan to a lattice
-    length, a multiple of the primitive normal of the wall.  The result
-    is translated so its lexicographically smallest vertex is the
-    origin.  Signed weights are accepted; only loop closure is required.
-
-    With weights >= 0 the result knows its chamber table (see
-    LatticePolytope.chamber_table): the gradient of chamber C is the
-    vertex that maximizes the interior of C.  Loop closure makes the
-    integrated function h continuous, and crossing a wall into chamber
-    j adds weight * (inward normal of j) to the gradient, so h is at
-    least the linear extension of its neighbour on each side of every
-    wall.  A continuous piecewise-linear function on a complete fan
-    that is convex across every wall is convex, so h is the maximum of
-    its gradients: the support function of their hull, attained on the
-    interior of C only at the gradient of C.  The table is checked to
-    hit every vertex of the hull once more (CertificateError if not).
-    Signed weights get no table.
+    length, a multiple of the primitive normal of the wall.  The walk
+    over the chamber graph starts at the origin on chamber 0, and
+    crossing a wall into chamber j adds weight * (inward normal of j) to
+    the gradient; the result lists one gradient per chamber.  Loop
+    closure is exactly the balancing condition, so NotBalanced when the
+    walk disagrees with itself, when a wall has one side or a weight,
+    or when the chamber graph is disconnected.
     """
     missing = [k for k in fan.walls if k not in weights]
     if missing:
@@ -291,7 +283,30 @@ def reconstruct_from_fan(fan: Fan, weights: Dict) -> LatticePolytope:
                 order.append(j)
     if len(grads) != len(fan.chambers):
         raise NotBalanced("chamber graph is disconnected")
-    table = [grads[i] for i in range(len(fan.chambers))]
+    return [grads[i] for i in range(len(fan.chambers))]
+
+
+def reconstruct_from_fan(fan: Fan, weights: Dict) -> LatticePolytope:
+    """The polytope whose support function has the given wall increments.
+
+    The gradients come from support_table.  The result is translated so
+    its lexicographically smallest vertex is the origin.  Signed weights
+    are accepted; only loop closure is required.
+
+    With weights >= 0 the result knows its chamber table (see
+    LatticePolytope.chamber_table): the gradient of chamber C is the
+    vertex that maximizes the interior of C.  Loop closure makes the
+    integrated function h continuous, and crossing a wall into chamber
+    j adds weight * (inward normal of j) to the gradient, so h is at
+    least the linear extension of its neighbour on each side of every
+    wall.  A continuous piecewise-linear function on a complete fan
+    that is convex across every wall is convex, so h is the maximum of
+    its gradients: the support function of their hull, attained on the
+    interior of C only at the gradient of C.  The table is checked to
+    hit every vertex of the hull once more (CertificateError if not).
+    Signed weights get no table.
+    """
+    table = support_table(fan, weights)
     if all(sign(weights[k]) >= 0 for k in fan.walls):
         return hull_of_table(fan, table)
     return LatticePolytope(table).normalize_translation()

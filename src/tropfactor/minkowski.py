@@ -10,15 +10,20 @@ work for lower-dimensional and rational-vertex inputs.
 The weight cone W(N) of a fan N collects the balanced non-negative
 weight vectors on its walls; a factorization basis is a non-negative
 lattice basis of its linear span, with one polytope per basis vector via
-support reconstruction.  Expansions of polytopes in such a basis are
+support integration.  Expansions of polytopes in such a basis are
 unique and integral, giving signed Minkowski identities.
 
 Everything about a polytope X whose normal fan a complete fan N refines
 is read off one vertex per chamber: on a chamber C the support function
 is h_X(x) = v_C(X).x, where v_C(X) is the vertex of X that maximizes the
-interior of C (chamber_vertices).  The weight of a wall between chambers
-C and D is the length of v_D(X) - v_C(X), and a signed Minkowski
-identity is checked chamber by chamber, with no sum and no hull (see
+interior of C (chamber_vertices).  Crossing the wall from C into D, the
+vertex steps by the wall's weight times the primitive inward normal of
+D (McMullen's wall-crossing; arXiv:1906.06861, section 2), so the table
+holds every wall weight.  A basis is its vectors and the tables of its
+polytopes, and there is one expansion for every fan, rational or
+Coxeter (FactorizationBasis.expand): it reads r wall weights off the
+table of the polytope, solves for y, and checks the signed Minkowski
+identity chamber by chamber, with no sum and no hull (see
 certify_signed_sum).
 """
 
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exact import (
     CertificateError,
@@ -51,6 +56,7 @@ from .division import (
     hull_of_table,
     point_text,
     reconstruct_from_fan,
+    support_table,
 )
 from .polyhedra import (
     Fan,
@@ -150,55 +156,43 @@ class FactorizationBasis:
     in the metric of the weights: lattice length for rational fans, the
     primal norm of the root system for Coxeter fans.
 
-    Each basis polytope B_i is given as a hull (polytopes) or by the
-    chamber table of unit * B_i (tables, see chamber_vertices); the
-    other is derived when first read, so a basis given by tables takes
-    no hull until its polytopes are read.  Coxeter bases of type A keep
-    rational tables with an irrational unit (coxeter.phi_weight_cone_basis).
+    Basis polytope B_i is given by its chamber table: the vertex of
+    unit * B_i that maximizes each chamber of the fan, in fan.chambers
+    order and up to one translation (see chamber_vertices).  Expansions
+    read the tables only; the polytopes are the hulls of the tables,
+    scaled by 1/unit and built when first read.  unit is 1 on rational
+    fans; Coxeter bases of type A keep rational tables with an
+    irrational unit (coxeter.phi_weight_cone_basis).
     """
 
-    def __init__(self, fan: Fan, vectors: List[WeightVector],
-                 polytopes: Optional[List[LatticePolytope]] = None,
-                 order=None, length: Callable = rational_content,
-                 tables=None, unit=1):
-        self.fan, self.vectors = fan, vectors
-        self._polytopes, self._tables = polytopes, tables
+    def __init__(self, fan: Fan, vectors: List[WeightVector], tables,
+                 order=None, length: Callable = rational_content, unit=1):
+        self.fan, self.vectors, self.tables = fan, vectors, list(tables)
         self.order = sorted(fan.walls) if order is None else list(order)
         self.length, self.unit = length, unit
+        self._polytopes = None
         self._solver = None
 
     @property
     def polytopes(self) -> List[LatticePolytope]:
         if self._polytopes is None:
-            hulls = [hull_of_table(self.fan, t) for t in self._tables]
+            hulls = [hull_of_table(self.fan, t) for t in self.tables]
             self._polytopes = hulls if self.unit == 1 else [
                 B.scale(1 / self.unit) for B in hulls]
         return self._polytopes
 
-    @property
-    def tables(self) -> List[tuple]:
-        """The tables of unit * B_i; CertificateError if one has none."""
-        if self._tables is None:
-            scaled = (B if self.unit == 1 else B.scale(self.unit)
-                      for B in self.polytopes)
-            try:
-                self._tables = [chamber_vertices(B, self.fan, NotRefined)
-                                for B in scaled]
-            except NotRefined as e:
-                raise CertificateError(
-                    "the basis fan does not refine the normal fan of a "
-                    "basis polytope") from e
-        return self._tables
+    def coordinates(self, table) -> tuple:
+        """y / unit for the y with sum_i y_i b_i = the weights of a polytope.
 
-    def coordinates(self, lattice_weight: Callable) -> tuple:
-        """y / unit for the y with sum_i y_i b_i = the polytope's weights.
-
-        lattice_weight(k) is the lattice length of the polytope's face
-        dual to wall k, and l_k times that its weight, l_k the length of
-        the wall's primitive normal.  The first call keeps r walls whose
-        rows of the basis matrix are independent, with the inverse of
-        that block times l_k / unit, so each call is one product.  The
-        other walls are not read: the caller's certificate checks them.
+        table is the polytope's chamber table on the fan.  Crossing a
+        wall from chamber C into D, the vertex steps by the wall's
+        lattice weight times the primitive inward normal p of D, so the
+        weight is (v_D - v_C) / p at a nonzero coordinate of p, and l_k
+        times it the weight in the metric, l_k the length of p.  The
+        first call keeps r walls whose rows of the basis matrix are
+        independent, with the inverse of that block times l_k / (unit
+        p), so each call is one product with r vertex differences.  The
+        other walls are not read: the certificate of expand checks them.
         CertificateError when the basis vectors are dependent.
         """
         if self._solver is None:
@@ -210,15 +204,34 @@ class FactorizationBasis:
             red, _ = row_reduce([tuple(row[c] for row in mat)
                                  + tuple(int(i == k) for i in range(r))
                                  for k, c in enumerate(pivots)])
-            walls = [self.order[c] for c in pivots]
-            scale = demote_vector(self.length(primitive_of_rational(
-                self.fan.wall_chambers[k][0][1])) / self.unit for k in walls)
-            self._solver = (walls, [
+            steps, scale = [], []
+            for col in pivots:
+                (i, _), (j, inward) = self.fan.wall_chambers[self.order[col]]
+                p = primitive_of_rational(inward)
+                t = next(t for t, x in enumerate(p) if x)
+                steps.append((i, j, t))
+                scale.append(self.length(p) / (self.unit * p[t]))
+            scale = demote_vector(scale)
+            self._solver = (steps, [
                 demote_vector(x * c for x, c in zip(row[r:], scale))
                 for row in red])
-        walls, inverse = self._solver
-        w = [lattice_weight(k) for k in walls]
-        return tuple(dot(row, w) for row in inverse)
+        steps, inverse = self._solver
+        d = [table[j][t] - table[i][t] for i, j, t in steps]
+        return tuple(dot(row, d) for row in inverse)
+
+    def expand(self, P: LatticePolytope, not_refined) -> tuple:
+        """The unique y with w_P = sum_i y_i b_i, certified.
+
+        chamber_vertices checks that the fan refines the normal fan of P
+        (not_refined with its witness otherwise) and gives its table;
+        coordinates reads y / unit off the table, and certify_signed_sum
+        checks it against the basis tables on every chamber before y is
+        returned.
+        """
+        table = chamber_vertices(P, self.fan, not_refined)
+        c = self.coordinates(table)
+        certify_signed_sum(table, c, self)
+        return demote_vector(vscale(self.unit, c))
 
     @property
     def r(self) -> int:
@@ -415,8 +428,9 @@ def weight_cone_basis(fan: Fan) -> FactorizationBasis:
 
     The basis vectors form a non-negative lattice basis of the span of
     W(N); the positive witness comes from the extreme rays of the cone of
-    non-negative balanced weights.  NotPolytopal if no strictly positive
-    balanced weight vector exists.
+    non-negative balanced weights.  Each basis table comes from support
+    integration of its vector (division.support_table), with no hull.
+    NotPolytopal if no strictly positive balanced weight vector exists.
     """
     lattice, keys = balanced_weight_lattice(fan)
     m = len(keys)
@@ -431,12 +445,12 @@ def weight_cone_basis(fan: Fan) -> FactorizationBasis:
             "no strictly positive balanced weight vector exists")
     vecs = nonnegative_basis(lattice, witness)
     weight_vectors = [WeightVector.from_values(fan, v) for v in vecs]
-    polys = [reconstruct_from_fan(fan, w.by_key) for w in weight_vectors]
-    return FactorizationBasis(fan, weight_vectors, polys)
+    return FactorizationBasis(fan, weight_vectors, [
+        support_table(fan, w.by_key) for w in weight_vectors])
 
 
-def certify_signed_sum(table, y, basis: FactorizationBasis) -> tuple:
-    """y, once P + sum(y_i^- B_i) = sum(y_i^+ B_i) + t holds for some t.
+def certify_signed_sum(table, c, basis: FactorizationBasis):
+    """Check P + sum(y_i^- B_i) = sum(y_i^+ B_i) + t for y = unit * c.
 
     table is chamber_vertices(P, basis.fan, ...) and the B_i are the
     basis polytopes.  The identity is checked on the vertex of every
@@ -447,61 +461,46 @@ def certify_signed_sum(table, y, basis: FactorizationBasis) -> tuple:
     dilations, and a polytope is fixed by its support function, so the
     identity holds exactly when v_C(P) - sum(y_i v_C(B_i)) is one and
     the same vector t on every chamber.  The v_C(B_i) are read from the
-    basis tables, those of unit * B_i, against y_i / unit.
-    CertificateError when y is None (the weights of P were not in the
-    span of the basis), when a basis polytope is not refined by the
-    fan, or when the differences disagree.
+    basis tables, those of unit * B_i, against c_i = y_i / unit.
+    CertificateError when the differences disagree: when y is not the
+    expansion of P, or a basis table is not that of its polytope.
     """
-    if y is None:
-        raise CertificateError(
-            "the wall weights lie outside the span of the basis")
-    scaled = y if basis.unit == 1 else demote_vector(c / basis.unit for c in y)
-    terms = [(c, T) for c, T in zip(scaled, basis.tables) if sign(c)]
+    terms = [(x, T) for x, T in zip(c, basis.tables) if sign(x)]
     t = None
     for k, v in enumerate(table):
-        for c, vertices in terms:
-            v = vsub(v, vscale(c, vertices[k]))
+        for x, vertices in terms:
+            v = vsub(v, vscale(x, vertices[k]))
         if t is None:
             t = v
         elif v != t:
             raise CertificateError(
                 "the signed Minkowski identity of the expansion fails on "
                 "a chamber of the basis fan")
-    return tuple(y)
 
 
 def expand_in_basis(Q: LatticePolytope, basis: FactorizationBasis) -> tuple:
     """The unique integer y with w_Q^ = sum_i y_i b_i over the basis fan.
 
-    Verified by the signed Minkowski identity Q + sum(y_i^- B_i) =
-    sum(y_i^+ B_i) up to translation, on the vertex of every chamber
-    (see certify_signed_sum).  NotRefined if the basis fan does not
-    refine the normal fan of Q; ValueError if an edge of Q has a
-    non-integer lattice length, since y is then not integral, or a
-    vertex off Q^n, where lattice lengths are not defined.
+    Read off the chamber table of Q and verified by the signed Minkowski
+    identity Q + sum(y_i^- B_i) = sum(y_i^+ B_i) up to translation (see
+    FactorizationBasis.expand).  NotRefined if the basis fan does not
+    refine the normal fan of Q; ValueError for a vertex off Q^n, where
+    lattice lengths are not defined, or for a y that is not integral.
+    The basis is a lattice basis of the integer balanced weights, so y
+    is integral exactly when every edge of Q has an integer lattice
+    length.
     """
     if not all(is_rational_vector(v) for v in Q.vertices):
         raise ValueError("expand takes polytopes with rational vertices")
-    wq = extended_weights(Q, basis.fan)
-    vals = []
-    for k in basis.order:
-        q = Fraction(wq[k])
-        if q.denominator != 1:
-            raise ValueError(f"an edge of the polytope has lattice length "
-                             f"{q}; only integer lengths expand")
-        vals.append(int(q))
-    return certify_signed_sum(chamber_vertices(Q, basis.fan, NotRefined),
-                              in_lattice(basis.matrix(), tuple(vals)), basis)
+    y = basis.expand(Q, NotRefined)
+    if any(c.denominator != 1 for c in y):
+        raise ValueError("an edge of the polytope has a non-integer lattice "
+                         "length; only integer lengths expand")
+    return tuple(int(c) for c in y)
 
 
 # ---------------------------------------------------------------------------
 # summands and indecomposability
-
-
-def _max_cones(override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(MAX_CONES_ENV, DEFAULT_MAX_CONES))
 
 
 def _span_coordinates(P: LatticePolytope):
@@ -532,11 +531,11 @@ def _embed_from_span(Q: LatticePolytope, B, n: int) -> LatticePolytope:
     return LatticePolytope(verts).normalize_translation()
 
 
-def _summand_cone_rays(P: LatticePolytope, max_cones: Optional[int]):
+def _summand_cone_rays(P: LatticePolytope):
     """Primitive extreme rays of {w balanced on N(P) : w >= 0}, with w_P."""
     fan = P.normal_fan()
     m = len(fan.walls)
-    cap = _max_cones(max_cones)
+    cap = int(os.environ.get(MAX_CONES_ENV, DEFAULT_MAX_CONES))
     if m > cap:
         raise TooLarge(f"{m} walls exceed the configured bound of {cap}")
     lattice, keys = balanced_weight_lattice(fan)
@@ -544,17 +543,16 @@ def _summand_cone_rays(P: LatticePolytope, max_cones: Optional[int]):
     return fan, keys, wp, _balanced_cone_rays(lattice, m)
 
 
-def is_indecomposable(P: LatticePolytope, max_cones: Optional[int] = None) -> bool:
+def is_indecomposable(P: LatticePolytope) -> bool:
     """Are 0 and integer multiples of w_P the only balanced weights below w_P?
 
     Equivalently, P admits no decomposition into two non-point lattice
     summands, which maximal_summand_pairs witnesses directly.
     """
-    return not maximal_summand_pairs(P, max_cones)
+    return not maximal_summand_pairs(P)
 
 
-def maximal_summand_pairs(P: LatticePolytope,
-                          max_cones: Optional[int] = None):
+def maximal_summand_pairs(P: LatticePolytope):
     """Pairs (R, R') with P = R + R' and R a minimal summand.
 
     Minimal summands carry the primitive generators of the extreme rays
@@ -569,13 +567,13 @@ def maximal_summand_pairs(P: LatticePolytope,
     if d < P.n:
         Q, B = _span_coordinates(P)
         out = []
-        for Rq, R2q in maximal_summand_pairs(Q, max_cones):
+        for Rq, R2q in maximal_summand_pairs(Q):
             R = _embed_from_span(Rq, B, P.n)
             R2 = _embed_from_span(R2q, B, P.n)
             _certify_pair(P, R, R2)
             out.append((R, R2))
         return out
-    fan, keys, wp, rays = _summand_cone_rays(P, max_cones)
+    fan, keys, wp, rays = _summand_cone_rays(P)
     pairs = []
     seen = set()
     for u in rays:

@@ -24,8 +24,10 @@ from .coxeter import build_root_system, coxeter_fan
 from .exact import CertificateError, TropfactorError, same_lattice
 from .minkowski import (
     FactorizationBasis,
+    NotRefined,
     TooLarge,
     balanced_weight_lattice,
+    chamber_vertices,
     extended_weights,
     factor,
 )
@@ -198,8 +200,8 @@ class WeightMatrix:
         return tuple(r[j] for r in self.rows)
 
 
-def weight_matrix(n: int, cap: int = 6) -> WeightMatrix:
-    """The weight matrix of type A_n.  TooLarge above the configured cap.
+def weight_matrix(n: int) -> WeightMatrix:
+    """The weight matrix of type A_n.  TooLarge above n = 6.
 
     By the restriction rule, pi restricts to I with the doubleton in
     front exactly when the doubleton lies in I and no element of I lies
@@ -209,8 +211,8 @@ def weight_matrix(n: int, cap: int = 6) -> WeightMatrix:
     """
     if n < 1:
         raise TooSmall("the type A_n weight matrix needs n >= 1")
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the configured cap of {cap}")
+    if n > 6:
+        raise TooLarge(f"n = {n} exceeds the cap of 6")
     partitions = ordered_partitions(range(1, n + 2))
     subsets = canonical_subsets(n)
     masks = [sum(1 << i for i in I) for I in subsets]
@@ -363,20 +365,17 @@ def simplex_family_basis(n: int) -> FactorizationBasis:
     """The faces Delta_I as a factorization basis of the universal fan.
 
     Verified on construction: the extended weight columns are a lattice
-    basis of the balanced weight vectors on the fan.
+    basis of the balanced weight vectors on the fan.  The basis tables
+    are the chamber tables of the Delta_I.
     """
     uf = universal_fan(n)
-    subsets = canonical_subsets(n)
-    vectors = []
-    polys = []
-    for I in subsets:
-        Q = simplex_polytope(I, n)
-        vectors.append(extended_weights(Q, uf.fan))
-        polys.append(Q)
+    simplices = [simplex_polytope(I, n) for I in canonical_subsets(n)]
+    vectors = [extended_weights(Q, uf.fan) for Q in simplices]
     lattice, _ = balanced_weight_lattice(uf.fan)
     mat = [tuple(int(x) for x in w.values) for w in vectors]
     if not same_lattice(mat, lattice):
         raise CertificateError(
             "the simplex faces do not span the balanced weight lattice of "
             "the fan")
-    return FactorizationBasis(uf.fan, vectors, polys)
+    return FactorizationBasis(uf.fan, vectors, [
+        chamber_vertices(Q, uf.fan, NotRefined) for Q in simplices])

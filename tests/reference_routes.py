@@ -8,9 +8,12 @@ lattice balancing matrix with metric columns.  covector_lift finds the
 primitive vector of a wall over a ridge in Z^n through saturated
 direction lattices, where the library reads its image in the ridge's
 quotient coordinates off two interior points.  phi_kernel_by_nullspace
-and phi_expand_over_the_field are the Coxeter weight kernel by
-elimination of the balancing matrix and the expansion with every wall
-length over Q(sqrt(2)), where the library reads both off ray heights.
+is the Coxeter weight kernel by elimination of the balancing matrix,
+where the library reads it off ray heights.  phi_expand_over_the_field
+and expand_by_lattice_solve are expansions that measure every wall of
+the fan and solve against the whole basis matrix, over Q(sqrt(2)) or in
+the lattice, where the library reads r walls off the polytope's chamber
+table.
 
 The rest are notions of the source paper that no library routine calls:
 the restriction of ordered partitions, which weight_matrix evaluates on
@@ -19,7 +22,7 @@ recursion over maximal_summand_pairs.
 """
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, NamedTuple
 
 from tropfactor.exact import (
     CertificateError,
@@ -35,9 +38,11 @@ from tropfactor.exact import (
 )
 from tropfactor.minkowski import (
     FactorizationBasis,
+    NotRefined,
     WeightVector,
     certify_signed_sum,
     chamber_vertices,
+    extended_weights,
     maximal_summand_pairs,
     wall_lengths,
 )
@@ -236,6 +241,18 @@ def phi_kernel_by_nullspace(cf) -> list:
     return out
 
 
+def basis_of_polytopes(basis, polytopes, not_refined=NotRefined):
+    """basis with its polytopes replaced, given by their chamber tables.
+
+    The new basis has unit 1: its tables are those of the polytopes
+    themselves.
+    """
+    return FactorizationBasis(
+        basis.fan, basis.vectors,
+        [chamber_vertices(B, basis.fan, not_refined) for B in polytopes],
+        order=basis.order, length=basis.length)
+
+
 def phi_expand_over_the_field(P, basis, not_refined) -> tuple:
     """The expansion of P with every wall length in the metric.
 
@@ -248,10 +265,34 @@ def phi_expand_over_the_field(P, basis, not_refined) -> tuple:
     y = solve_linear([tuple(row[j] for row in mat)
                       for j in range(len(basis.order))],
                      [wp[k] for k in basis.order])
-    metric = FactorizationBasis(basis.fan, basis.vectors, basis.polytopes,
-                                order=basis.order, length=basis.length)
-    return demote_vector(certify_signed_sum(
-        chamber_vertices(P, basis.fan, not_refined), y, metric))
+    certify_signed_sum(chamber_vertices(P, basis.fan, not_refined), y,
+                       basis_of_polytopes(basis, basis.polytopes,
+                                          not_refined))
+    return demote_vector(y)
+
+
+def expand_by_lattice_solve(Q, basis) -> tuple:
+    """The integer expansion of Q with every wall measured in the lattice.
+
+    The extended weights of Q on every wall of the basis fan must be
+    integers (ValueError otherwise); y is their coordinates in the
+    lattice spanned by the basis matrix, and the chamber certificate
+    checks it against the basis tables.
+    """
+    wq = extended_weights(Q, basis.fan)
+    vals = []
+    for k in basis.order:
+        q = Fraction(wq[k])
+        if q.denominator != 1:
+            raise ValueError(f"an edge of the polytope has lattice length "
+                             f"{q}; only integer lengths expand")
+        vals.append(int(q))
+    y = in_lattice(basis.matrix(), tuple(vals))
+    if y is None:
+        raise CertificateError(
+            "the wall weights lie outside the lattice of the basis")
+    certify_signed_sum(chamber_vertices(Q, basis.fan, NotRefined), y, basis)
+    return tuple(y)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +366,7 @@ def is_strict_balanced_coarsening(coarse_fan: Fan, coarse_w: WeightVector,
     return strict
 
 
-def complete_factorizations(P: LatticePolytope,
-                            max_cones: Optional[int] = None):
+def complete_factorizations(P: LatticePolytope):
     """All factorizations of P into minimal summands, as sorted tuples.
 
     Repeated summands are reported with multiplicity.  Recursion follows
@@ -339,7 +379,7 @@ def complete_factorizations(P: LatticePolytope,
         key = X.vertices
         if key in memo:
             return memo[key]
-        pairs = maximal_summand_pairs(X, max_cones)
+        pairs = maximal_summand_pairs(X)
         if not pairs:
             out = [(X,)]
         else:

@@ -302,6 +302,41 @@ class TestBasisAndExpand:
             assert payload["error"] == "SchemaError"
             assert "full-dimensional" in payload["message"]
 
+    @pytest.mark.parametrize("vertices", [[[1, 2]], [[0, 0], [2, 1]]])
+    def test_lower_dimensional_base_is_an_input_error(self, files, capsys,
+                                                      vertices):
+        # a point or a segment in R^2 has no complete normal fan
+        base = files["root"] / "flat_base.json"
+        base.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+        for argv in (["basis", str(base)],
+                     ["expand", files["tri"], str(base)]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "DegeneratePolytope"
+            assert "dimension" in payload["message"]
+
+    def test_expand_builds_no_basis_hull(self, files, capsys, monkeypatch):
+        from tropfactor import division, minkowski, polyhedra
+        counts = {"hull_of_table": 0, "LatticePolytope": 0}
+        real_hull, real_init = division.hull_of_table, LatticePolytope.__init__
+
+        def hull(*args):
+            counts["hull_of_table"] += 1
+            return real_hull(*args)
+
+        def init(self, *args, **kwargs):
+            counts["LatticePolytope"] += 1
+            real_init(self, *args, **kwargs)
+
+        for module in (division, minkowski):
+            monkeypatch.setattr(module, "hull_of_table", hull)
+        monkeypatch.setattr(polyhedra.LatticePolytope, "__init__", init)
+        code, out, _ = run(["expand", files["p1"], files["S"]], capsys)
+        assert code == 0 and json.loads(out)["r"] == 6
+        # the two input files are the only polytopes
+        assert counts == {"hull_of_table": 0, "LatticePolytope": 2}
+
     @pytest.mark.parametrize("flag", ["yes", 1, None])
     def test_non_boolean_eq_is_rejected(self, files, capsys, flag):
         fan_file = files["root"] / "eq_fan.json"
@@ -541,7 +576,10 @@ def _exit_code(argv):
             code = e.code
         out = Path(tmp) / "out.json"
         if code == 1:
-            assert "error" in json.loads(out.read_text())
+            payload = json.loads(out.read_text())
+            assert "error" in payload
+            # a lower-dimensional base is an input error, not a "no"
+            assert payload["error"] != "DegeneratePolytope"
         elif code == 2:
             assert "error" in json.loads(err.getvalue())
     return code
@@ -601,7 +639,10 @@ MINKOWSKI_POLYTOPES = [
     {"dim": 2, "vertices": [list(v) for v in HEXAGON_VERTICES]},
     {"dim": 2, "vertices": [[0, 0], [2, -2]]},
     {"dim": 3, "vertices": [list(v) for v in TETRA_VERTICES]},
-    SQRT2_TRI_OBJ]
+    SQRT2_TRI_OBJ,
+    # lower-dimensional: a point, and a triangle in R^3
+    {"dim": 2, "vertices": [[1, 2]]},
+    {"dim": 3, "vertices": [list(v) for v in TETRA_VERTICES[:3]]}]
 MINKOWSKI_FANS = [_fan_json(OCTAGON_VERTICES), _fan_json(HEXAGON_VERTICES),
                   _fan_json([(0, 0), (1, 0), (0, 1)]),
                   _fan_json(TETRA_VERTICES), QUADRANTS_OF_A_PLANE]
@@ -781,9 +822,11 @@ class TestPolynomialContractFuzz:
 
 def dilate_first_polytope(basis):
     """The basis with its first polytope swapped for twice itself."""
-    polys = [basis.polytopes[0].scale(2)] + list(basis.polytopes[1:])
-    return FactorizationBasis(basis.fan, basis.vectors, polys,
-                              order=basis.order, length=basis.length)
+    first = tuple(tuple(2 * x for x in v) for v in basis.tables[0])
+    return FactorizationBasis(basis.fan, basis.vectors,
+                              [first] + list(basis.tables[1:]),
+                              order=basis.order, length=basis.length,
+                              unit=basis.unit)
 
 
 class TestCertificates:

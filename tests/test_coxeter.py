@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from reference_routes import (
+    basis_of_polytopes,
     covector_lift,
     phi_expand_over_the_field,
     phi_kernel_by_nullspace,
@@ -551,9 +552,9 @@ class TestPhiExpand:
         basis = phi_weight_cone_basis(cfan("B2"))
         y = phi_expand(P1, basis)
         i = next(i for i, c in enumerate(y) if c)
-        polys = list(basis.polytopes)
-        polys[i] = polys[i].scale(2)
-        bad = FactorizationBasis(basis.fan, basis.vectors, polys,
+        tables = list(basis.tables)
+        tables[i] = tuple(vscale(2, v) for v in tables[i])
+        bad = FactorizationBasis(basis.fan, basis.vectors, tables,
                                  order=basis.order, length=basis.length)
         with pytest.raises(CertificateError):
             phi_expand(P1, bad)
@@ -585,7 +586,8 @@ class TestChamberCertificate:
     def verdict(self, P, y, basis):
         try:
             certify_signed_sum(chamber_vertices(P, basis.fan, NotAPhiPolytope),
-                               y, basis)
+                               demote_vector(c / basis.unit for c in y),
+                               basis)
             return True
         except CertificateError:
             return False
@@ -609,9 +611,9 @@ class TestChamberCertificate:
 
     def test_translated_basis_polytope_passes(self):
         basis = phi_basis("B2")
-        polys = [B.translate((H, i)) for i, B in enumerate(basis.polytopes)]
-        moved = FactorizationBasis(basis.fan, basis.vectors, polys,
-                                   order=basis.order, length=basis.length)
+        moved = basis_of_polytopes(
+            basis, [B.translate((H, i)) for i, B in
+                    enumerate(basis.polytopes)], NotAPhiPolytope)
         for P in phi_test_polytopes("B2"):
             assert phi_expand(P, moved) == phi_expand(P, basis)
 
@@ -946,6 +948,24 @@ class TestBasisChecksSurvivePythonO:
 # of Phi and the expansion with every wall length over Q(sqrt(2))
 
 
+def table_steps(fan, table, order):
+    """The lattice weight of each wall read off a chamber table.
+
+    Crossing a wall into chamber D the table steps by the weight times
+    the primitive inward normal p of D; the step must be parallel to p.
+    """
+    out = []
+    for k in order:
+        (i, _), (j, inward) = fan.wall_chambers[k]
+        p = primitive_of_rational(inward)
+        step = vsub(table[j], table[i])
+        t = next(t for t, x in enumerate(p) if x)
+        w = step[t] / p[t]
+        assert step == vscale(w, p), k
+        out.append(w)
+    return tuple(out)
+
+
 class TestRayHeights:
     @pytest.mark.parametrize("tag", ("A1", "A2", "A3", "A4", "B2"))
     def test_kernel_equals_the_nullspace_route(self, tag):
@@ -956,7 +976,7 @@ class TestRayHeights:
         assert [typed(z) for z, _ in image] == \
             [typed(z) for z in nullspace_field(Phi, ncols=len(cf.wall_order))]
         for z, h in image:
-            assert tuple(heights.weight(k, h) for k in cf.wall_order) == z
+            assert table_steps(cf.fan, heights.table(h), cf.wall_order) == z
         assert len(image) == len(heights.rays) - cf.rs.n
 
     @pytest.mark.parametrize("tag", ("A2", "A3", "B2"))
@@ -1015,7 +1035,8 @@ class TestRayHeights:
         for I in W.subsets:
             D = simplex_polytope(I, n)
             h = [max(dot(rho, v) for v in D.vertices) for rho in heights.rays]
-            got = tuple(heights.weight(uf.wall_of[pi], h)
+            got = tuple(sum(c * h[e] for e, c in
+                            heights.columns[uf.wall_of[pi]].items())
                         for pi in W.partitions)
             assert got == W.column_of(I), I
 

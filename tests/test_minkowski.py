@@ -7,14 +7,21 @@ import pytest
 
 from reference_routes import (
     NotRefining,
+    basis_of_polytopes,
     complete_factorizations,
+    expand_by_lattice_solve,
     is_strict_balanced_coarsening,
     signed_sum_holds,
     wall_lengths_by_face_queries,
 )
 from tropfactor import minkowski
 from tropfactor.division import reconstruct_from_fan
-from tropfactor.exact import CertificateError, rational_content, same_lattice
+from tropfactor.exact import (
+    CertificateError,
+    rational_content,
+    same_lattice,
+    vscale,
+)
 from tropfactor.minkowski import (
     FactorizationBasis,
     IncompleteFan,
@@ -339,10 +346,6 @@ class TestSummandPairs:
         got = {(norm(a).vertices, norm(b).vertices) for a, b in pairs}
         assert got == {(Q_TRI.vertices, Q_TRI.vertices)}
 
-    def test_too_large_cap(self):
-        with pytest.raises(TooLarge):
-            maximal_summand_pairs(S, max_cones=4)
-
     def test_too_large_env(self, monkeypatch):
         monkeypatch.setenv("TROPFACTOR_MAX_CONES", "4")
         with pytest.raises(TooLarge):
@@ -385,10 +388,10 @@ class TestWeightVector:
 
 
 def dilated_basis(basis, i):
-    """The basis with its i-th polytope swapped for twice itself."""
-    polys = list(basis.polytopes)
-    polys[i] = polys[i].scale(2)
-    return FactorizationBasis(basis.fan, basis.vectors, polys,
+    """The basis with its i-th table swapped for that of twice its polytope."""
+    tables = list(basis.tables)
+    tables[i] = tuple(vscale(2, v) for v in tables[i])
+    return FactorizationBasis(basis.fan, basis.vectors, tables,
                               order=basis.order, length=basis.length)
 
 
@@ -409,12 +412,6 @@ class TestCertificates:
         i = next(i for i, c in enumerate(y) if c)
         with pytest.raises(CertificateError):
             expand_in_basis(P1, dilated_basis(basis, i))
-
-    def test_weights_outside_the_basis_span(self):
-        fan, basis = octagon_basis()
-        with pytest.raises(CertificateError):
-            certify_signed_sum(chamber_vertices(P1, fan, NotRefined), None,
-                               basis)
 
     def test_summand_pairs_reject_wrong_reassembly(self, monkeypatch):
         real = minkowski.reconstruct_from_fan
@@ -440,8 +437,9 @@ class TestCertificates:
             "from tropfactor.polyhedra import LatticePolytope\n"
             f"S = LatticePolytope({OCTAGON!r})\n"
             "basis = weight_cone_basis(S.normal_fan())\n"
-            "polys = [B.scale(2) for B in basis.polytopes]\n"
-            "bad = FactorizationBasis(basis.fan, basis.vectors, polys)\n"
+            "tables = [[2 * x for x in v] for v in basis.tables[0]]\n"
+            "bad = FactorizationBasis(basis.fan, basis.vectors,\n"
+            "                         [tables] + basis.tables[1:])\n"
             "try:\n"
             "    expand_in_basis(S, bad)\n"
             "except CertificateError:\n"
@@ -530,20 +528,20 @@ class TestChamberCertificate:
 
     def test_translated_basis_polytope_passes(self):
         _, basis = octagon_basis()
-        polys = [B.translate((i, -2 * i)) for i, B in
-                 enumerate(basis.polytopes)]
-        moved = FactorizationBasis(basis.fan, basis.vectors, polys,
-                                   order=basis.order, length=basis.length)
+        moved = basis_of_polytopes(basis, [
+            B.translate((i, -2 * i)) for i, B in enumerate(basis.polytopes)])
         for P in (S, P1, P2, B7):
             assert expand_in_basis(P, moved) == expand_in_basis(P, basis)
 
-    def test_basis_polytope_off_the_fan_is_a_certificate_error(self):
+    def test_table_that_is_no_support_function_fails_the_certificate(self):
         _, basis = octagon_basis()
         y = expand_in_basis(P1, basis)
         i = next(i for i, c in enumerate(y) if c)
-        polys = list(basis.polytopes)
-        polys[i] = LatticePolytope([(0, 0), (2, 1)])
-        bad = FactorizationBasis(basis.fan, basis.vectors, polys)
+        tables = list(basis.tables)
+        # one chamber's vertex moved: the table steps by no weight vector
+        tables[i] = ((tables[i][0][0] + 1,) + tables[i][0][1:],) \
+            + tuple(tables[i][1:])
+        bad = FactorizationBasis(basis.fan, basis.vectors, tables)
         with pytest.raises(CertificateError):
             expand_in_basis(P1, bad)
 
@@ -568,6 +566,64 @@ class TestChamberCertificate:
         for X in (B.translate((5, -1)), B.scale(3), B.scale(Fraction(1, 2))):
             assert chamber_vertices(X, fan, NotRefined) == \
                 chamber_vertices(LatticePolytope(X.vertices), fan, NotRefined)
+
+
+# ---------------------------------------------------------------------------
+# the table expansion against the lattice route: every wall measured,
+# one lattice solve against the whole basis matrix
+
+
+def expansion_or_error(route, Q, basis):
+    """route's expansion of Q, or the class and witness of its error."""
+    try:
+        return route(Q, basis)
+    except (NotRefined, ValueError) as e:
+        return type(e), getattr(e, "witness", None)
+
+
+class TestExpansionAgainstTheLatticeRoute:
+    def check(self, polytopes, basis):
+        """The outcomes seen: "y" for an expansion, else the error class."""
+        outcomes = []
+        for Q in polytopes:
+            got = expansion_or_error(expand_in_basis, Q, basis)
+            assert got == expansion_or_error(expand_by_lattice_solve, Q,
+                                             basis)
+            if got[0] in (NotRefined, ValueError):
+                outcomes.append(got[0])
+            else:
+                assert all(type(c) is int for c in got)
+                outcomes.append("y")
+        return outcomes
+
+    @pytest.mark.parametrize("which", ["octagon", "hexagon"])
+    def test_octagon_and_hexagon(self, which):
+        if which == "octagon":
+            basis, pieces = octagon_basis()[1], OCTAGON_PIECES
+        else:
+            basis, pieces = hexagon_basis(), HEXAGON_PIECES
+        rng = random.Random(which + "lattice")
+        polytopes = [random_refined_sum(rng, pieces) for _ in range(15)]
+        polytopes += [B.scale(Fraction(1, 2)) for B in pieces[:2]]
+        polytopes += [random_polytope(rng, 2, 4, box=3) for _ in range(5)]
+        assert set(self.check(polytopes, basis)) == {"y", NotRefined,
+                                                     ValueError}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_normal_fans(self, n):
+        rng = random.Random(f"normal fan {n}")
+        outcomes = []
+        for _ in range(5 if n == 2 else 2):
+            while True:
+                P = random_polytope(rng, n, rng.randint(3, 5), box=2)
+                Q = random_polytope(rng, n, rng.randint(2, 3), box=1)
+                if (P + Q).dim() == n:
+                    break
+            basis = weight_cone_basis((P + Q).normal_fan())
+            polytopes = [P, Q, P + Q, P.scale(2) + Q, Q.scale(Fraction(1, 2)),
+                         random_polytope(rng, n, 4, box=2)]
+            outcomes += self.check(polytopes, basis)
+        assert set(outcomes) == {"y", NotRefined, ValueError}
 
 
 # ---------------------------------------------------------------------------
