@@ -8,10 +8,15 @@ failure modes raise, with an exact witness attached.
 
 Everything is decided on the one complex T(f); T(g) is never built.
 V(g) lies inside V(f) exactly when a single term of g is maximal on each
-chamber of T(f), which the chamber's generators decide: the open chamber
-is convex, so the winning term at one interior point must stay maximal
-at every vertex, along every ray and along both directions of every
-lineality generator.  When a term overtakes it, the first tie on the way
+chamber of T(f), which the chamber's generators decide: a term is
+maximal on the whole chamber iff it is maximal at every vertex, along
+every ray and along both directions of every lineality generator.  The
+generators are the facets of f's lifted hull through the chamber's term
+(see TropicalComplex), so the terms of g maximal on each facet row are
+found once, on machine integers, and a chamber's winner is the one term
+in the intersection over its facets.  Only a chamber whose intersection
+is empty goes through Fractions: the winning term at an interior point
+is overtaken on the way to some generator, and the first tie on the way
 there is a point of V(g) inside the open chamber.
 
 support_table integrates a weighted complete fan: walking the chamber
@@ -25,6 +30,7 @@ unbalanced input raises NotBalanced.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Dict, Optional
 
@@ -38,7 +44,7 @@ from .exact import (
     vadd,
     vsub,
 )
-from .polyhedra import Fan, LatticePolytope, demote_vector
+from .polyhedra import Fan, LatticePolytope, demote_vector, integer_row
 from .tropical import TropicalComplex, TropicalPolynomial
 
 
@@ -85,57 +91,116 @@ def variety_containment_witness(g: TropicalPolynomial, f: TropicalPolynomial,
 
     V(f) misses exactly the open chambers of T(f), so containment holds
     iff no open chamber D meets V(g), i.e. iff one term b of g is the
-    unique maximum on all of int(D).  Take b = argmax of g at an interior
-    point p of D; a tie there makes p the witness.  Otherwise b must stay
-    maximal on the generators of D: at each vertex w, on the segment from
-    p to w, and for all t >= 0 along each ray and each +/- lineality
-    direction u.  That holds iff v_b + b.w = g(w) at each vertex and
-    b.u = max_c c.u along each direction; both values are cached, since
-    neighbouring chambers share generators.  At the first step where
-    this fails, a term overtakes b along p + t*u within that range, and
-    the first tie point is the witness: it is in V(g) and still interior
-    to D, since it lies strictly before the vertex or on an unbounded
-    direction.  Tf may pass a prebuilt f.dual_complex(), and winners a
-    list that receives b for each chamber in turn: g's winners, when
-    containment holds.  A witness is checked before it is returned: g
-    attains its maximum at two terms or more there and f at exactly
-    one, else CertificateError.
+    unique maximum on all of int(D).  That holds iff b is maximal at
+    every generator of D: at each vertex, and along each ray and each
+    +/- lineality direction.
+
+    The integer pass reads this off f's lifted hull.  With g's
+    coefficients scaled by their common denominator d, the terms of g
+    maximal on the generator of a facet row (alpha, c) are the maximizers
+    of c * d * v_b + d * alpha.b: at the vertex alpha / c when c > 0,
+    along the ray alpha when c = 0.  Those masks are taken once per facet
+    and once for the lineality (see _maximal_terms), and the winner of D
+    is the one term in the intersection of the masks of its facets and
+    the lineality mask.  There is at most one: two terms maximal on all
+    of D agree on D, which is full-dimensional, so they are the same
+    exponent.
+
+    When the intersection is empty, D alone goes through the Fraction
+    route of _chamber_witness, which finds the witness, CertificateError
+    if it finds none.  The pass and the route agree chamber by chamber,
+    since a term maximal on every generator is the unique maximum at an
+    interior point, so the witness is the route's.  Tf may pass a prebuilt
+    f.dual_complex(), and winners a list that receives b for each chamber
+    in turn: g's winners, when containment holds.  A witness is checked
+    before it is returned: g attains its maximum at two terms or more
+    there and f at exactly one, else CertificateError.
     """
     if g.n != f.n:
         raise ValueError("ambient dimensions differ")
     if Tf is None:
         Tf = f.dual_complex()
-    value, top = {}, {}
-
-    def g_at(w):
-        if w not in value:
-            value[w] = g(w)
-        return value[w]
-
-    def g_top(u):
-        if u not in top:
-            top[u] = max(dot(c, u) for c in g.terms)
-        return top[u]
-
-    for D in Tf.chambers:
-        p = D.relative_interior_point()
-        arg = g.argmax(p)
-        if len(arg) > 1:
-            return _checked_witness(g, f, p)
-        b = arg[0]
+    terms = list(g.terms)
+    facet_tops, lin_top = _maximal_terms(g, f.subdivision())
+    for D, T in zip(Tf.chambers, Tf.chamber_facets):
+        top = lin_top
+        for j, mask in enumerate(facet_tops):
+            if T >> j & 1:
+                top &= mask
+        if not top:
+            witness = _chamber_witness(g, f, D, winners)
+            if witness is None:
+                raise CertificateError(
+                    "no term of g is maximal on every generator of a "
+                    "chamber, but none is overtaken inside it")
+            return witness
+        if top & (top - 1):
+            raise CertificateError(
+                "two terms of g are maximal on a whole chamber of T(f)")
         if winners is not None:
-            winners.append(b)
-        vb = g.terms[b]
-        dirs = list(D.rays) + [u for l in D.lineality
-                               for u in (l, tuple(-x for x in l))]
-        bad = next(itertools.chain(
-            (vsub(w, p) for w in D.vertices if vb + dot(b, w) != g_at(w)),
-            (u for u in dirs if dot(b, u) != g_top(u))), None)
-        if bad is not None:
-            t = _first_tie(g, b, p, bad)
-            return _checked_witness(
-                g, f, tuple(x + t * y for x, y in zip(p, bad)))
+            winners.append(terms[top.bit_length() - 1])
     return None
+
+
+def _maximal_terms(g: TropicalPolynomial, sub):
+    """Bitmasks over g.terms: per facet row of sub, the terms maximal on
+    its generator; and the terms maximal along both directions of every
+    lineality row.  Scores are integers, with g's coefficients scaled by
+    their common denominator d.
+    """
+    d = math.lcm(*(v.denominator for v in g.terms.values()))
+    lifted = [b + (v.numerator * (d // v.denominator),)
+              for b, v in g.terms.items()]
+
+    def top(scores):
+        m = max(scores)
+        return sum(1 << k for k, s in enumerate(scores) if s == m)
+
+    facets = []
+    for row, _ in sub.rows:
+        scaled = tuple(d * x for x in row[:-1]) + (row[-1],)
+        facets.append(top([dot(scaled, b) for b in lifted]))
+    lin = (1 << len(lifted)) - 1
+    for l in sub.normals:
+        l = integer_row(l)
+        scores = [dot(l, b[:-1]) for b in lifted]
+        lin &= top(scores) & top([-s for s in scores])
+    return facets, lin
+
+
+def _chamber_witness(g: TropicalPolynomial, f: TropicalPolynomial, D,
+                     winners: Optional[list] = None):
+    """A point of V(g) in the open chamber D, by the Fraction route.
+
+    b = argmax of g at an interior point p of D, appended to winners; p
+    when it ties.  Otherwise b must stay maximal on the generators of D:
+    at each vertex w, on the segment from p to w, and for all t >= 0
+    along each ray and each +/- lineality direction u.  That holds iff
+    v_b + b.w = g(w) at each vertex and b.u = max_c c.u along each
+    direction.  At the first generator where this fails, a term
+    overtakes b along p + t*u within that range, and the first tie point
+    is the witness: it is in V(g) and still interior to D, since it lies
+    strictly before the vertex or on an unbounded direction.  None when
+    b is maximal on every generator.
+    """
+    p = D.relative_interior_point()
+    arg = g.argmax(p)
+    if len(arg) > 1:
+        return _checked_witness(g, f, p)
+    b = arg[0]
+    if winners is not None:
+        winners.append(b)
+    vb = g.terms[b]
+    dirs = list(D.rays) + [u for l in D.lineality
+                           for u in (l, tuple(-x for x in l))]
+    bad = next(itertools.chain(
+        (vsub(w, p) for w in D.vertices if vb + dot(b, w) != g(w)),
+        (u for u in dirs if dot(b, u) != max(dot(c, u) for c in g.terms))),
+        None)
+    if bad is None:
+        return None
+    t = _first_tie(g, b, p, bad)
+    return _checked_witness(g, f, tuple(x + t * y for x, y in zip(p, bad)))
 
 
 def _checked_witness(g: TropicalPolynomial, f: TropicalPolynomial, x):

@@ -274,7 +274,8 @@ def scalar_sqrt(x):
 
 
 def dot(u: Sequence, v: Sequence):
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
     s = 0
     for a, b in zip(u, v):
         s = s + a * b
@@ -307,7 +308,7 @@ def vgcd(v: Iterable[int]) -> int:
 def primitive_vector(v: Sequence[int]) -> tuple:
     """v / gcd(v); preserves direction.  Raises ZeroVector on v = 0."""
     v = tuple(int(a) for a in v)
-    g = vgcd(v)
+    g = math.gcd(*v)
     if g == 0:
         raise ZeroVector("the zero vector has no primitive representative")
     return tuple(a // g for a in v)
@@ -365,6 +366,34 @@ def row_reduce(rows):
 
 def field_rank(rows) -> int:
     return len(row_reduce(rows)[0])
+
+
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix, by fraction-free elimination.
+
+    Each elimination step replaces a row r below the pivot row p by
+    p[c] * r - r[c] * p and divides it by the gcd of its entries, so the
+    entries stay small integers and no Fraction is made.
+    """
+    mat = [r for r in rows if any(r)]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        p = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[rank], mat[p] = mat[p], mat[rank]
+        pivot = mat[rank]
+        x = pivot[c]
+        for i in range(rank + 1, len(mat)):
+            y = mat[i][c]
+            if y:
+                r = [x * u - y * w for u, w in zip(mat[i], pivot)]
+                g = math.gcd(*r)
+                mat[i] = [u // g for u in r] if g > 1 else r
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def solve_linear(rows, rhs):
@@ -543,9 +572,11 @@ def lattice_basis_through(basis, vector):
         c[i] -= q * c[j]
         B[j] = [x + q * y for x, y in zip(B[j], B[i])]
     k = next(i for i in range(len(c)) if c[i])
-    assert abs(c[k]) == 1
+    if abs(c[k]) != 1:
+        raise CertificateError("the coefficient reduction left no unit")
     B[k] = [c[k] * x for x in B[k]]  # now B[k] == vector
-    assert tuple(B[k]) == tuple(map(int, vector))
+    if tuple(B[k]) != tuple(map(int, vector)):
+        raise CertificateError("the new basis does not start with the vector")
     B[0], B[k] = B[k], B[0]
     return [tuple(b) for b in B]
 
@@ -577,6 +608,7 @@ def nonnegative_basis(basis, positive_witness):
             if bi < 0:
                 k = max(k, (-bi + wi - 1) // wi)  # ceil(-bi / wi)
         v = tuple(bi + k * wi for bi, wi in zip(b, wprim))
-        assert all(x >= 0 for x in v)
+        if any(x < 0 for x in v):
+            raise CertificateError(f"the shifted basis vector {v} is negative")
         out.append(v)
     return out

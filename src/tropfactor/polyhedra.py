@@ -124,23 +124,27 @@ def dd_cone(constraints, n):
     """Extreme rays, lineality and incidences of {x : a.x >= 0 / a.x = 0}.
 
     constraints is a sequence of (a, is_equality) with a in R^n.  Returns
-    (rays, lineality, zero_sets), where zero_sets[i] is the frozenset of
-    the indices of the constraints that vanish on rays[i].  Starts from
-    the whole space and inserts constraints one at a time; adjacency of
-    rays is decided combinatorially from zero sets.  Zero sets are never
-    recomputed from the rows: projecting along a lineality generator
-    rescales every processed row value by a positive factor, so sign
-    patterns survive, and a combined ray is a positive combination of two
-    rays that satisfy every processed row, so it vanishes on exactly the
-    rows both parents vanish on (Fukuda-Prodon 1996).
+    (rays, lineality, zero_sets), where zero_sets[i] is the int bitmask
+    of the constraints that vanish on rays[i]: bit k is set when the k-th
+    constraint does.  Starts from the whole space and inserts constraints
+    one at a time; adjacency of rays is decided combinatorially from zero
+    sets: rays i and j are adjacent when no third ray's mask z contains
+    t = zero_sets[i] & zero_sets[j], that is has z & t == t.  Zero sets
+    are never recomputed from the rows: projecting along a lineality
+    generator rescales every processed row value by a positive factor,
+    so sign patterns survive, and a combined ray is a positive
+    combination of two rays that satisfy every processed row, so it
+    vanishes on exactly the rows both parents vanish on (Fukuda-Prodon
+    1996).
     """
     lineality = [tuple(1 if j == i else 0 for j in range(n))
                  for i in range(n)]
     rays = []      # normalized ray representatives
-    zsets = []     # per ray: indices of processed constraints it annihilates
+    zsets = []     # per ray: bitmask of processed constraints it annihilates
 
     def insert(m, a, equality):
         nonlocal rays, zsets, lineality
+        bit = 1 << m
         hot = next((l for l in lineality if dot(a, l)), None)
         if hot is not None:
             # lineality escapes the hyperplane: split off one generator
@@ -162,11 +166,11 @@ def dd_cone(constraints, n):
                     # every processed row vanishes on hot, so dropping
                     # rescales the row values by s0 > 0: zero sets keep
                     kept.append(normalize_ray(p))
-                    kept_z.append(z | {m})
+                    kept_z.append(z | bit)
             rays, zsets = kept, kept_z
             if not equality:
                 rays.append(normalize_ray(hot))
-                zsets.append(frozenset(range(m)))
+                zsets.append(bit - 1)
             return
         vals = [dot(a, r) for r in rays]
         signs = [sign(v) for v in vals]
@@ -174,19 +178,19 @@ def dd_cone(constraints, n):
         neg = [i for i, s in enumerate(signs) if s < 0]
         zero = [i for i, s in enumerate(signs) if s == 0]
         if not neg and not equality:
-            zsets[:] = [z | {m} if s == 0 else z
+            zsets[:] = [z | bit if s == 0 else z
                         for z, s in zip(zsets, signs)]
             return
         if not pos and not neg:
-            zsets[:] = [z | {m} for z in zsets]
+            zsets[:] = [z | bit for z in zsets]
             return
         keep = zero + (pos if not equality else [])
         new = [rays[i] for i in keep]
-        new_z = [zsets[i] | {m} if signs[i] == 0 else zsets[i] for i in keep]
+        new_z = [zsets[i] | bit if signs[i] == 0 else zsets[i] for i in keep]
         for i, j in itertools.product(pos, neg):
             t = zsets[i] & zsets[j]
-            adjacent = not any(k != i and k != j and zsets[k] >= t
-                               for k in range(len(rays)))
+            adjacent = not any(k != i and k != j and z & t == t
+                               for k, z in enumerate(zsets))
             if not adjacent:
                 continue
             r = vsub(tuple(vals[i] * x for x in rays[j]),
@@ -194,7 +198,7 @@ def dd_cone(constraints, n):
             if is_zero_vector(r):
                 continue
             new.append(normalize_ray(r))
-            new_z.append(t | {m})
+            new_z.append(t | bit)
         rays[:] = new
         zsets[:] = new_z
 
@@ -215,7 +219,8 @@ def point_hull(points, rays=()):
     One double description of the homogenized generators: the facets
     a.x <= b are its rays, each scaled so that a is in normalize_ray form,
     the equalities a.x = b its lineality, and bit j of the i-th bitmask is
-    set when points[i] lies on facet j (read off the zero sets).
+    set when points[i] lies on facet j (read off the zero sets, whose
+    low bits are the points).
     """
     n = len(points[0])
     cons = ([((1,) + tuple(p), False) for p in points]
@@ -228,8 +233,8 @@ def point_hull(points, rays=()):
             continue  # the inequality t >= 0 itself
         bit = 1 << len(ineqs)
         ineqs.append(_scaled_to_normal(tuple(-x for x in r[1:]), r[0]))
-        for i in z:
-            if i < len(points):
+        for i in range(len(points)):
+            if z >> i & 1:
                 on[i] |= bit
     eqs = [(tuple(-x for x in l[1:]), l[0]) for l in lin]
     return ineqs, eqs, on
@@ -351,7 +356,9 @@ class Polyhedron:
         lin = []
         for l in clin:
             # homogenization lineality always has t = 0
-            assert not l[0]
+            if l[0]:
+                raise CertificateError(
+                    f"the homogenized lineality {l} leaves t = 0")
             lin.append(l[1:])
         self._vrep = (sorted(verts), sorted(rays), rref_basis(lin))
         return self._vrep

@@ -24,6 +24,7 @@ from .exact import (
     TropfactorError,
     dot,
     integer_nullspace,
+    integer_rank,
     primitive_of_rational,
     rational_content,
     sign,
@@ -150,7 +151,9 @@ class RegularSubdivision:
     as point_hull returns it.  A face is the set of points tight on a set
     T of facets; it belongs to the subdivision when T contains an upper
     facet (a bit of the mask upper).  An affine lift, or a single term,
-    has one upper facet.
+    has one upper facet.  Edges and 2-faces come with their mask T, the
+    facets through all of their points, which TropicalComplex reads its
+    walls and ridges off.
     """
 
     def __init__(self, f: TropicalPolynomial):
@@ -199,10 +202,17 @@ class RegularSubdivision:
         pts = self.points
         return [(pts[i], pts[j]) for i, j, _ in self._edge_facets()]
 
-    def two_faces(self):
-        """2-dimensional faces of the subdivision, as sorted vertex tuples."""
+    def _two_face_facets(self):
+        """(vertex tuple, T) for each 2-face, T the facets on all of it.
+
+        Two edges at a common vertex lie in a 2-face exactly when the
+        points on all of their shared facets T = T1 & T2 have affine rank
+        2, an integer rank test on the points (1, a).  The facets through
+        both edges are those through the 2-face they span, so T does not
+        depend on the pair that finds the face.
+        """
         vs = set(self._vertex_indices())
-        out = set()
+        out = {}
         for (i1, j1, T1), (i2, j2, T2) in itertools.combinations(
                 self._edge_facets(), 2):
             if not {i1, j1} & {i2, j2}:
@@ -210,11 +220,15 @@ class RegularSubdivision:
             T = T1 & T2
             if not T & self.upper:
                 continue
-            face = tuple(k for k in self._face(T) if k in vs)
-            pts = [self.points[k] for k in face]
-            if len(rref_basis([vsub(p, pts[0]) for p in pts[1:]])) == 2:
-                out.add(tuple(pts))
-        return sorted(out)
+            pts = tuple(self.points[k] for k in self._face(T) if k in vs)
+            if pts not in out and integer_rank(
+                    [(1,) + p for p in pts]) == 3:
+                out[pts] = T
+        return sorted(out.items())
+
+    def two_faces(self):
+        """2-dimensional faces of the subdivision, as sorted vertex tuples."""
+        return [face for face, _ in self._two_face_facets()]
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +244,30 @@ class TropicalComplex:
     2-faces and are built on first use.  The attribute names match Fan so
     the balancing check below serves both.
 
-    No hull runs per cell.  The chamber of a term a is dual to its star
-    in the subdivision (Maclagan-Sturmfels, Introduction to Tropical
-    Geometry, 3.1): each upper facet (alpha, c) of the lifted hull through
-    a gives the vertex alpha / c, each vertical facet (alpha, 0) the ray
-    alpha, and the lineality is orthogonal to the Newton polytope.  Like
-    a double description of the chamber, the hull's double description
+    No hull runs per cell, and no cell is checked against its parent's
+    generators.  The chamber of a term a is dual to its star in the
+    subdivision (Maclagan-Sturmfels, Introduction to Tropical Geometry,
+    3.1): each upper facet (alpha, c) of the lifted hull through a gives
+    the vertex alpha / c, each vertical facet (alpha, 0) the ray alpha,
+    and the lineality is orthogonal to the Newton polytope.  Like a
+    double description of the chamber, the hull's double description
     splits the lineality off from the first coordinate on, so both give
-    the same representatives.  Walls and ridges are faces of a chamber on
-    the rows of the dual edge or 2-face.
+    the same representatives.  Each facet row is turned into its
+    generator once, and a cell takes the generators of the facets in its
+    mask: chamber k those of chamber_facets[k], the tight mask of its
+    term, a wall or ridge those of the mask T of its dual edge or 2-face.
+    A generator of the chamber of a lies on the row (b - a).x <= v_a - v_b
+    exactly when the lifted point of b lies on its facet too (at the
+    vertex alpha / c both terms then attain f), so the face of the
+    chamber on that row has the generators of tight[a] & tight[b].  A
+    cell keeps its chamber's rows with those of the dual cell as
+    equalities.
+
+    The dimension check of a cell is an integer rank test: its
+    homogenized generators are positive multiples of the facet rows
+    (alpha, c) in T, with the lineality rows (l, 0), so their rank is the
+    dimension of the cell plus one, n for a wall and n - 1 for a ridge.
+    CertificateError when it is not.
     """
 
     def __init__(self, f: TropicalPolynomial):
@@ -246,35 +275,34 @@ class TropicalComplex:
         self.n = f.n
         sub = f.subdivision()
         self.chamber_terms = list(f.essential_terms())
-        lin = rref_basis(sub.normals)
+        self._lin = rref_basis(sub.normals)
+        self._lin_rows = [integer_row(l) + (0,) for l in self._lin]
+        self._rows = [row for row, _ in sub.rows]
+        self._upper = sub.upper
+        self._generators = [
+            tuple(Fraction(x) / row[-1] for x in row[:-1]) if row[-1]
+            else normalize_ray(row[:-1]) for row in self._rows]
+        self.chamber_facets = [sub.tight[i] for i in sub._vertex_indices()]
         self.chambers = []
-        for i in sub._vertex_indices():
-            a = sub.points[i]
+        for a, T in zip(self.chamber_terms, self.chamber_facets):
             va = f.terms[a]
             ineqs = [(vsub(b, a), va - vb) for b, vb in f.terms.items() if b != a]
-            verts, rays = [], []
-            for j, (row, _) in enumerate(sub.rows):
-                if sub.tight[i] >> j & 1:
-                    alpha, c = row[:-1], row[-1]
-                    if c:
-                        verts.append(tuple(Fraction(x) / c for x in alpha))
-                    else:
-                        rays.append(normalize_ray(alpha))
             self.chambers.append(
-                Polyhedron(self.n, ineqs, generators=(verts, rays, lin)))
+                Polyhedron(self.n, ineqs, generators=self._on(T)))
         self.walls = {}
         self.wall_duals = {}
         self.wall_weights = {}
         self._wall_sides = {}
         index = {a: i for i, a in enumerate(self.chamber_terms)}
-        for (a, b) in sub.edges():
-            ia, ib = index[a], index[b]
-            eq = (vsub(b, a), f.terms[a] - f.terms[b])
-            W = self.chambers[ia].face([eq])
-            k = W.key()
-            if W.dim() != self.n - 1:
+        pts = sub.points
+        for i, j, T in sub._edge_facets():
+            a, b = pts[i], pts[j]
+            if self._rank(T) != self.n:
                 raise CertificateError(
                     f"the subdivision edge {(a, b)} dualizes to no wall")
+            ia, ib = index[a], index[b]
+            W = self._cell(ia, [b], T)
+            k = W.key()
             self.walls[k] = W
             self.wall_duals[k] = (a, b)
             self.wall_weights[k] = rational_content(vsub(b, a))
@@ -282,20 +310,39 @@ class TropicalComplex:
         self._ridges = None
         self._ridge_walls = None
 
+    def _on(self, T):
+        """(vertices, rays, lineality) of the facets in the bitmask T."""
+        verts, rays = [], []
+        for j, gen in enumerate(self._generators):
+            if T >> j & 1:
+                (verts if self._upper >> j & 1 else rays).append(gen)
+        return verts, rays, self._lin
+
+    def _rank(self, T):
+        """Rank of the facet rows in T with the lineality rows (l, 0)."""
+        return integer_rank([a for j, a in enumerate(self._rows) if T >> j & 1]
+                            + self._lin_rows)
+
+    def _cell(self, i, others, T):
+        """The face of chamber i where each term of others ties with its
+        term, with the generators of the facets in T."""
+        a = self.chamber_terms[i]
+        C = self.chambers[i]
+        eqs = [(vsub(b, a), self.f.terms[a] - self.f.terms[b]) for b in others]
+        return Polyhedron(self.n, C.inequalities, C.equalities + eqs,
+                          generators=self._on(T))
+
     def _compute_ridges(self):
-        f = self.f
+        sub = self.f.subdivision()
         index = {a: i for i, a in enumerate(self.chamber_terms)}
         self._ridges = {}
         self._ridge_walls = {}
-        for face in f.subdivision().two_faces():
-            a0 = face[0]
-            base = self.chambers[index[a0]]
-            eqs = [(vsub(b, a0), f.terms[a0] - f.terms[b]) for b in face[1:]]
-            R = base.face(eqs)
-            k = R.key()
-            if R.dim() != self.n - 2:
+        for face, T in sub._two_face_facets():
+            if self._rank(T) != self.n - 1:
                 raise CertificateError(
                     f"the subdivision 2-face {face} dualizes to no ridge")
+            R = self._cell(index[face[0]], face[1:], T)
+            k = R.key()
             self._ridges[k] = R
             # an edge of the subdivision with both ends in the face is an
             # edge of the face

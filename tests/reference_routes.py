@@ -2,9 +2,13 @@
 
 Most functions compute an answer the library now reads off the chambers
 of a fan, the slow way: by Minkowski sums and hulls, or by one face
-query or argmax per wall.  root_form_rows is the mirror pairing of a
-Coxeter fan, the balancing formulation the library replaced by the
-lattice balancing matrix with metric columns.  covector_lift finds the
+query or argmax per wall.  cells_by_face and containment_by_fractions
+build the walls and ridges of T(f) as faces of its chambers and decide
+variety containment in Fractions at every chamber generator, where the
+library reads both off the facet rows of f's lifted hull.
+root_form_rows is the mirror pairing of a Coxeter fan, the balancing
+formulation the library replaced by the lattice balancing matrix with
+metric columns.  covector_lift finds the
 primitive vector of a wall over a ridge in Z^n through saturated
 direction lattices, where the library reads its image in the ridge's
 quotient coordinates off two interior points.  phi_kernel_by_nullspace
@@ -21,6 +25,7 @@ bitmasks, strict balanced coarsenings, and complete factorizations by
 recursion over maximal_summand_pairs.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, NamedTuple
 
@@ -131,6 +136,77 @@ def extend_weights_by_wall_points(g, Tf) -> dict:
     return {wk: segment_length(g.argmax(W.relative_interior_point()),
                                rational_content)
             for wk, W in Tf.walls.items()}
+
+
+def cells_by_face(T):
+    """(walls, ridges) of a TropicalComplex, each a face of a chamber.
+
+    The route the complex took before it read cells off facet masks:
+    the face of the chamber of one end of the dual edge or 2-face on the
+    rows where the other ends tie with it, found by checking every
+    chamber generator against the rows, and a dimension check by row
+    reduction.  walls maps each wall key to (dual edge, weight), ridges
+    each ridge key to its dual 2-face.
+    """
+    f = T.f
+    index = {a: i for i, a in enumerate(T.chamber_terms)}
+
+    def face(cell, dim):
+        a = cell[0]
+        C = T.chambers[index[a]]
+        F = C.face([(vsub(b, a), f.terms[a] - f.terms[b]) for b in cell[1:]])
+        if F.dim() != dim:
+            raise CertificateError(f"{cell} dualizes to no cell of dim {dim}")
+        return F.key()
+
+    walls = {face(e, f.n - 1): (e, rational_content(vsub(e[1], e[0])))
+             for e in f.subdivision().edges()}
+    ridges = {face(F, f.n - 2): F for F in f.subdivision().two_faces()}
+    return walls, ridges
+
+
+def containment_by_fractions(g, f, Tf, winners=None):
+    """variety_containment_witness in Fractions, chamber by chamber.
+
+    The route the library took before its integer pass: on every chamber
+    D, b = argmax of g at an interior point p (p the witness on a tie),
+    then b checked at every vertex and along every ray and +/- lineality
+    generator of D, with g's values cached across chambers; the first
+    failure gives the first tie on the way from p as the witness.
+    """
+    value, top = {}, {}
+
+    def g_at(w):
+        if w not in value:
+            value[w] = g(w)
+        return value[w]
+
+    def g_top(u):
+        if u not in top:
+            top[u] = max(dot(c, u) for c in g.terms)
+        return top[u]
+
+    for D in Tf.chambers:
+        p = D.relative_interior_point()
+        arg = g.argmax(p)
+        if len(arg) > 1:
+            return p
+        b = arg[0]
+        if winners is not None:
+            winners.append(b)
+        vb = g.terms[b]
+        dirs = list(D.rays) + [u for l in D.lineality
+                               for u in (l, tuple(-x for x in l))]
+        bad = next(itertools.chain(
+            (vsub(w, p) for w in D.vertices if vb + dot(b, w) != g_at(w)),
+            (u for u in dirs if dot(b, u) != g_top(u))), None)
+        if bad is not None:
+            lead, slope = vb + dot(b, p), dot(b, bad)
+            t = min((lead - vc - dot(c, p)) / (dot(c, bad) - slope)
+                    for c, vc in g.terms.items()
+                    if sign(dot(c, bad) - slope) > 0)
+            return tuple(x + t * y for x, y in zip(p, bad))
+    return None
 
 
 def signed_sum_holds(P, y, polytopes) -> bool:

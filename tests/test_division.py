@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -8,7 +9,11 @@ from fractions import Fraction
 import pytest
 
 from property_sweeps import random_polynomial
-from reference_routes import extend_weights_by_wall_points
+from reference_routes import (
+    cells_by_face,
+    containment_by_fractions,
+    extend_weights_by_wall_points,
+)
 from tropfactor import polyhedra
 from tropfactor.division import (
     NegativeWeight,
@@ -21,7 +26,7 @@ from tropfactor.division import (
     variety_contained,
 )
 from tropfactor.exact import CertificateError
-from tropfactor.polyhedra import LatticePolytope
+from tropfactor.polyhedra import LatticePolytope, Polyhedron
 from tropfactor.tropical import TropicalComplex, TropicalPolynomial
 
 G_TERMS = {(0, 0): 0, (0, 1): -7, (1, 0): -7, (1, 1): -10}
@@ -143,6 +148,53 @@ class TestContainmentAgainstIntersections:
             if w is not None:
                 assert len(g.argmax(w)) >= 2
                 assert len(f.argmax(w)) == 1
+        assert verdicts[True] and verdicts[False]
+
+
+class TestIntegerPassAgainstFractionRoutes:
+    """Cells and containment read off facet masks agree with the routes
+    through chamber faces and Fractions, on divide-shaped pairs."""
+
+    @staticmethod
+    def poly(rng, n, k, planar=False):
+        grid = list(itertools.product(range(-2, 3), repeat=2 if planar else n))
+        terms = {e: Fraction(rng.randint(-16, 16), 2)
+                 for e in rng.sample(grid, k)}
+        if planar:
+            # supports on the plane x3 = x1 + x2: chambers with lineality
+            terms = {(a, b, a + b): v for (a, b), v in terms.items()}
+        return TropicalPolynomial(terms)
+
+    @classmethod
+    def pairs(cls, rng, n, count, planar=False):
+        """(f, divisor) as in divide: g (.) h by g, by g (.) g, h by g."""
+        out = []
+        for _ in range(count):
+            g = cls.poly(rng, n, rng.randint(2, 5), planar)
+            h = cls.poly(rng, n, rng.randint(2, 5), planar)
+            out += [(g * h, g), (g * h, g * g), (h, g)]
+        return out
+
+    @pytest.mark.parametrize("n, count, planar, seed",
+                             [(2, 12, False, 13), (3, 4, False, 14),
+                              (3, 5, True, 15)])
+    def test_cells_winners_and_witnesses(self, n, count, planar, seed):
+        verdicts = Counter()
+        for f, g in self.pairs(random.Random(seed), n, count, planar):
+            T = f.dual_complex()
+            walls, ridges = cells_by_face(T)
+            assert walls == {k: (T.wall_duals[k], T.wall_weights[k])
+                             for k in T.walls}
+            assert all(W.key() == k for k, W in T.walls.items())
+            assert set(ridges) == set(T.ridges)
+            assert all(R.key() == k for k, R in T.ridges.items())
+            for C in T.chambers:
+                assert C.key() == Polyhedron(C.n, C.inequalities).key()
+            got, want = [], []
+            w = variety_containment_witness(g, f, T, got)
+            assert w == containment_by_fractions(g, f, T, want)
+            assert got == want
+            verdicts[w is None] += 1
         assert verdicts[True] and verdicts[False]
 
 
@@ -321,6 +373,27 @@ class TestCertificates:
             # certificate; no chamber, wall or ridge runs its own
             assert len(calls) == 2
 
+    def test_cells_take_no_face_query_or_elimination(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("face", "dim"):
+            monkeypatch.setattr(Polyhedron, name,
+                                counted(name, getattr(Polyhedron, name)))
+        monkeypatch.setattr(polyhedra, "row_reduce",
+                            counted("row_reduce", polyhedra.row_reduce))
+        g = TropicalPolynomial({(0, 0, 0): 0, (1, 0, 0): -1,
+                                (0, 1, 1): -2, (1, 1, 0): 1})
+        h = TropicalPolynomial({(0, 0, 0): 0, (0, 0, 1): 1, (1, 1, 1): -3})
+        T = (g * h).dual_complex()
+        assert len(T.walls) > 10 and len(T.ridges) > 10
+        assert not calls
+
     def test_not_contained_witness_is_checked(self, monkeypatch):
         import tropfactor.division as division
 
@@ -366,6 +439,46 @@ class TestCertificates:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "2\n"
+
+    def test_integer_checks_survive_python_O(self):
+        script = textwrap.dedent("""
+            import tropfactor.division as division
+            import tropfactor.tropical as tropical
+            from tropfactor.exact import CertificateError, dot
+            from tropfactor.tropical import TropicalPolynomial
+
+            if __debug__:
+                raise SystemExit("asserts are on")
+            failures = 0
+            try:
+                dot((1, 2), (3,))
+            except ValueError:
+                failures += 1
+            g = TropicalPolynomial({(0, 0): 0, (0, 1): -7, (1, 0): -7,
+                                    (1, 1): -10})
+            f = g * TropicalPolynomial({(0, 0): 0, (1, 1): -10})
+            # no term of g maximal on any facet: every chamber falls back
+            # to the Fraction route, which finds g's winner unbeaten
+            real = division._maximal_terms
+            division._maximal_terms = lambda g, sub: (
+                [0] * len(sub.rows), 0)
+            try:
+                division.variety_containment_witness(g, f)
+            except CertificateError:
+                failures += 1
+            division._maximal_terms = real
+            # a wall whose facet rows fall short of rank n
+            tropical.integer_rank = lambda rows: 1
+            try:
+                division.divide(TropicalPolynomial(f.terms), g)
+            except CertificateError:
+                failures += 1
+            print(failures)
+            """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3\n"
 
 
 class TestReconstruct:

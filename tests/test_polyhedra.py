@@ -655,7 +655,7 @@ class TestDoubleDescriptionAgainstBruteForce:
                 vals = [dot(a, r) for a in rows]
                 assert all(v == 0 if eq else sign(v) >= 0
                            for v, (_, eq) in zip(vals, cons))
-                assert z == frozenset(k for k, v in enumerate(vals) if v == 0)
+                assert z == sum(1 << k for k, v in enumerate(vals) if v == 0)
             keys = [normalize_ray(tuple(dot(a, r) for a in rows))
                     for r in rays]
             assert len(set(keys)) == len(keys)
