@@ -324,13 +324,13 @@ def _b2_labels(rs: RootSystem, fan: Fan):
     """
     base = {"t": (Fraction(1), Fraction(1)), "s": (Fraction(0), Fraction(1))}
     gen_root = {"s": (1, 0), "t": (1, -1)}
-    for g in ("s", "t"):
-        assert rs.reflect_dual(base[g], gen_root[g]) == base[g], (
-            "each generator fixes its own ray pointwise")
+    if any(rs.reflect_dual(base[g], gen_root[g]) != base[g] for g in "st"):
+        raise CertificateError("a generator does not fix its own ray")
     wall_of_ray = {}
     for k, W in fan.walls.items():
         rays = W.rays
-        assert len(rays) == 1, "B2 walls are single rays"
+        if len(rays) != 1:
+            raise CertificateError(f"a B2 wall has {len(rays)} rays")
         wall_of_ray[normalize_ray(rays[0])] = k
     order, labels = [], {}
     for label in _B2_LABEL_ORDER:
@@ -341,7 +341,8 @@ def _b2_labels(rs: RootSystem, fan: Fan):
         k = wall_of_ray[normalize_ray(ray)]
         order.append(k)
         labels[k] = label
-    assert len(set(order)) == 8, "the eight cosets hit the eight rays"
+    if len(set(order)) != 8:
+        raise CertificateError("the eight cosets miss a ray")
     return order, labels
 
 

@@ -280,11 +280,12 @@ def universal_fan(n: int) -> UniversalFan:
     wall_of = {}
     for wk, W in fan.walls.items():
         pi = _partition_of_point(W.relative_interior_point())
-        assert len(pi.blocks) == n, "walls carry exactly one coordinate tie"
+        if len(pi.blocks) != n:
+            raise CertificateError(f"{pi.label()} is no wall label of A{n}")
         label_of[wk] = pi
         wall_of[pi] = wk
-    assert len(wall_of) == len(fan.walls), "the labeling is a bijection"
-    assert len(wall_of) == _factorial(n + 1) * n // 2
+    if not len(wall_of) == len(fan.walls) == _factorial(n + 1) * n // 2:
+        raise CertificateError("the labeling is not a bijection")
     return UniversalFan(n, fan, label_of, wall_of)
 
 

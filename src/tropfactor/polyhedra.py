@@ -23,6 +23,7 @@ from .exact import (
     QuadExt,
     TropfactorError,
     dot,
+    integer_rank,
     is_zero_vector,
     primitive_of_rational,
     primitive_vector,
@@ -213,6 +214,42 @@ def dd_cone(constraints, n):
     return list(rays), rref_basis(lineality), list(zsets)
 
 
+def adjacent_pairs(masks) -> list:
+    """(i, j, masks[i] & masks[j]) for the pairs whose common mask no third
+    mask holds, in combinations order: the edges on vertex facet masks, the
+    facet pairs meeting in a ridge on facet ray masks, since a face of
+    codimension 2 lies in exactly two facets (Ziegler, Lectures, ch. 2)."""
+    out = []
+    for i, j in itertools.combinations(range(len(masks)), 2):
+        t = masks[i] & masks[j]
+        held = 0  # masks i and j hold t; a third rules the pair out
+        for m in masks:
+            if m & t == t:
+                held += 1
+                if held > 2:
+                    break
+        else:
+            out.append((i, j, t))
+    return out
+
+
+def in_mask(items, mask) -> list:
+    """The items whose bits are set in mask, one step per set bit."""
+    out = []
+    while mask:
+        out.append(items[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return out
+
+
+def _rank(vectors) -> int:
+    """Rank of the vectors: fraction-free when each is rational."""
+    rows = [integer_row(v) for v in vectors]
+    if all(isinstance(x, int) for r in rows for x in r):
+        return integer_rank(rows)
+    return len(rref_basis(rows))
+
+
 def point_hull(points, rays=()):
     """(facet rows, equalities, facet bitmasks) of conv(points) + cone(rays).
 
@@ -310,28 +347,6 @@ class Polyhedron:
             raise DimensionMismatch("ambient dimensions differ")
         return Polyhedron(self.n, self.inequalities + other.inequalities,
                           self.equalities + other.equalities)
-
-    def face(self, rows) -> "Polyhedron":
-        """The face where each valid row a.x <= b of rows holds with equality.
-
-        Its generators are the vertices, rays and lineality of this
-        polyhedron that are tight on every row, so no double description
-        runs; they are the ones the double description of the face would
-        return when the rows are among this polyhedron's own inequalities.
-        ValueError when a row is not valid: a vertex with a.v > b, a ray
-        with a.r > 0 or a lineality generator with a.l != 0.
-        """
-        rows = [(tuple(a), b) for a, b in rows]
-        verts, rays, lin = self._compute_vrep()
-        gaps = [[sign(dot(a, v) - b) for a, b in rows] for v in verts]
-        slopes = [[sign(dot(a, r)) for a, _ in rows] for r in rays]
-        if (any(s > 0 for g in gaps + slopes for s in g)
-                or any(dot(a, l) for a, _ in rows for l in lin)):
-            raise ValueError(f"the rows {rows} are not valid on the polyhedron")
-        return Polyhedron(
-            self.n, self.inequalities, self.equalities + rows,
-            ([v for v, g in zip(verts, gaps) if not any(g)],
-             [r for r, g in zip(rays, slopes) if not any(g)], lin))
 
     # -- V-representation --------------------------------------------------
 
@@ -673,16 +688,9 @@ class LatticePolytope:
 
     # -- face structure ----------------------------------------------------
 
-    def _face_members(self, t):
-        """Indices of the vertices on every facet of the bitmask t."""
-        return [k for k, m in enumerate(self._tight) if m & t == t]
-
     def _edge_index(self):
-        """(i, j, facets on both) for the vertex index pairs of the edges."""
-        tight = self._tight
-        return [(i, j, tight[i] & tight[j])
-                for i, j in itertools.combinations(range(len(tight)), 2)
-                if self._face_members(tight[i] & tight[j]) == [i, j]]
+        """(i, j, facets on both) of the edges: adjacent vertex masks."""
+        return adjacent_pairs(self._tight)
 
     def edges(self):
         """Vertex pairs (u, v) forming the 1-faces."""
@@ -701,7 +709,8 @@ class LatticePolytope:
                 self._edge_index(), 2):
             if not {i1, j1} & {i2, j2}:
                 continue
-            pts = [self.vertices[k] for k in self._face_members(t1 & t2)]
+            pts = [v for v, m in zip(self.vertices, self._tight)
+                   if m & t1 & t2 == t1 & t2]
             diffs = [vsub(p, pts[0]) for p in pts[1:]]
             if len(rref_basis(diffs)) == 2:
                 faces.add(frozenset(pts))
@@ -726,39 +735,35 @@ class LatticePolytope:
         read off the incidences with no hull: N(v) is the pointed cone
         spanned by the outer normals of the facets at v, and its facets
         (w - v).y <= 0 are dual to the edges (v, w) (Ziegler, Lectures on
-        Polytopes, 7.1).  Each wall (codimension 1 cone) is dual to an
-        edge and carries the edge's weight (see edge_weight).
+        Polytopes, 7.1).  Each wall (codimension 1 cone) is dual to the
+        edge joining the vertices of its two sides and carries the edge's
+        weight (see edge_weight).
         """
         if self.dim() != self.n:
             raise DegeneratePolytope(
                 f"polytope has dimension {self.dim()} < ambient {self.n}")
-        edges = self._edge_index()
         neighbours = [[] for _ in self.vertices]
-        for i, j, _ in edges:
+        for i, j, _ in self._edge_index():
             neighbours[i].append(j)
             neighbours[j].append(i)
         origin = tuple(Fraction(0) for _ in range(self.n))
+        normals = [a for a, _ in self.inequalities]
         chambers = []
         for v, t, near in zip(self.vertices, self._tight, neighbours):
             rows = [(integer_row(vsub(self.vertices[j], v)), Fraction(0))
                     for j in near]
-            rays = [a for k, (a, _) in enumerate(self.inequalities)
-                    if t >> k & 1]
-            chambers.append(Polyhedron(self.n, rows,
-                                       generators=([origin], rays, ())))
+            chambers.append(Polyhedron(self.n, rows, generators=(
+                [origin], in_mask(normals, t), ())))
         fan = Fan(chambers, labels=list(self.vertices))
-        weights = {}
-        duals = {}
-        for i, j, _ in edges:
-            u, v = self.vertices[i], self.vertices[j]
-            k = chambers[i].face([(vsub(v, u), Fraction(0))]).key()
-            weights[k] = self.edge_weight(u, v)
-            duals[k] = (u, v)
-        fan.wall_weights = weights
-        fan.wall_duals = duals
-        if any(k not in weights for k in fan.walls):
-            raise CertificateError(
-                "a wall of the normal fan is dual to no edge")
+        fan.wall_weights, fan.wall_duals = {}, {}
+        for k, sides in fan.wall_chambers.items():
+            pair = [ci for ci, _ in sides]
+            if len(pair) != 2 or pair[1] not in neighbours[pair[0]]:
+                raise CertificateError(
+                    "a wall of the normal fan is dual to no edge")
+            u, v = (self.vertices[ci] for ci in pair)
+            fan.wall_weights[k] = self.edge_weight(u, v)
+            fan.wall_duals[k] = (u, v)
         return fan
 
 
@@ -769,9 +774,9 @@ class LatticePolytope:
 class Fan:
     """A polyhedral fan given by its maximal cones.
 
-    Cells of codimension 1 (walls) and 2 (ridges) are derived from the
-    chambers; cells are identified across chambers by canonical keys of
-    their point sets, so incidence is available by dictionary lookup.
+    Cells of codimension 1 (walls) and 2 (ridges) are read off the
+    chambers' incidence masks and identified across chambers by canonical
+    keys of their point sets, so incidence is available by dictionary lookup.
     """
 
     def __init__(self, chambers: Sequence[Polyhedron], labels=None):
@@ -789,49 +794,48 @@ class Fan:
         self.heights = None  # coxeter.ray_heights of a simplicial fan
 
     def _compute_cells(self):
-        """Walls and ridges as faces of the chambers, with no hull per cell.
+        """Walls and ridges read off each chamber's facet row masks.
 
-        A wall is the face of a chamber on one of its facet rows.  Its own
-        facets, the ridges, are the faces on that row and one other facet
-        row of the same chamber that have dimension n - 2.
+        The wall on a facet row has the origin, the rays the row vanishes
+        on and the lineality; its ridges are its faces on the rows that
+        adjacent_pairs pairs it with, each certified by the rank n - 2 of
+        its rays with the lineality.  A chamber with equalities has walls
+        but no ridges.
         """
         if self._walls is not None:
             return
-        walls = {}
-        wall_sides = {}
-        found = {}  # wall key -> (chamber, its facet row giving the wall)
+        walls, wall_sides, ridges, ridge_star = {}, {}, {}, {}
         for ci, C in enumerate(self.chambers):
-            ineqs, _ = C.minimal_hrep()
-            for a, b in ineqs:
-                assert not b, "fan cones must be homogeneous"
-                W = C.face([(a, b)])
-                k = W.key()
-                if k not in walls:
-                    walls[k] = W
-                    wall_sides[k] = []
-                    found[k] = (C, (a, b))
-                inward = tuple(-x for x in a)
-                wall_sides[k].append((ci, inward))
-        ridges = {}
-        ridge_star = {}
-        for wk in walls:
-            C, row = found[wk]
-            for other in C.minimal_hrep()[0]:
-                if other == row:
-                    continue
-                R = C.face([row, other])
-                if R.dim() != self.n - 2:
-                    continue
-                k = R.key()
-                if k not in ridges:
-                    ridges[k] = R
-                    ridge_star[k] = []
-                if wk not in ridge_star[k]:
-                    ridge_star[k].append(wk)
-        self._walls = walls
-        self._wall_sides = wall_sides
-        self._ridges = ridges
-        self._ridge_star = ridge_star
+            verts, rays, lin = C._compute_vrep()
+            ineqs, eqs = C.minimal_hrep()
+            if any(b for _, b in ineqs):
+                raise ValueError("fan cones must be homogeneous")
+            masks = [sum(1 << r for r, g in enumerate(rays) if not dot(a, g))
+                     for a, _ in ineqs]
+            near = [[] for _ in ineqs]  # in row order, as combinations are
+            for i, j, t in [] if eqs else adjacent_pairs(masks):
+                near[i].append((j, t))
+                near[j].append((i, t))
+
+            def cell(rows, mask):
+                return Polyhedron(self.n, C.inequalities, C.equalities + rows,
+                                  (verts, in_mask(rays, mask), lin))
+            for row, m in enumerate(masks):
+                W = cell([ineqs[row]], m)
+                wk = W.key()
+                if wk not in walls:
+                    walls[wk] = W
+                    for other, t in near[row]:
+                        R = cell([ineqs[row], ineqs[other]], t)
+                        if _rank(R.rays + list(lin)) != self.n - 2:
+                            raise CertificateError(
+                                f"rows {row}, {other} of cone {ci}: no ridge")
+                        ridges.setdefault(R.key(), R)
+                        ridge_star.setdefault(R.key(), []).append(wk)
+                wall_sides.setdefault(wk, []).append(
+                    (ci, tuple(-x for x in ineqs[row][0])))
+        self._walls, self._wall_sides = walls, wall_sides
+        self._ridges, self._ridge_star = ridges, ridge_star
 
     @property
     def walls(self):

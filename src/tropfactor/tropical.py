@@ -35,6 +35,8 @@ from .exact import (
 from .polyhedra import (
     LatticePolytope,
     Polyhedron,
+    adjacent_pairs,
+    in_mask,
     integer_row,
     normalize_ray,
     point_hull,
@@ -186,16 +188,11 @@ class RegularSubdivision:
         return [self.points[i] for i in self._vertex_indices()]
 
     def _edge_facets(self):
-        """(i, j, T) for each edge: vertex indices and shared facets."""
+        """(i, j, T) per edge: adjacent vertex masks, T with an upper facet."""
         vs = self._vertex_indices()
-        tight = self.tight
-        out = []
-        for i, j in itertools.combinations(vs, 2):
-            T = tight[i] & tight[j]
-            if T & self.upper and not any(
-                    tight[k] & T == T for k in vs if k != i and k != j):
-                out.append((i, j, T))
-        return out
+        return [(vs[i], vs[j], T)
+                for i, j, T in adjacent_pairs([self.tight[k] for k in vs])
+                if T & self.upper]
 
     def edges(self):
         """Edges of the subdivision, as ordered pairs of exponent vertices."""
@@ -312,16 +309,12 @@ class TropicalComplex:
 
     def _on(self, T):
         """(vertices, rays, lineality) of the facets in the bitmask T."""
-        verts, rays = [], []
-        for j, gen in enumerate(self._generators):
-            if T >> j & 1:
-                (verts if self._upper >> j & 1 else rays).append(gen)
-        return verts, rays, self._lin
+        return (in_mask(self._generators, T & self._upper),
+                in_mask(self._generators, T & ~self._upper), self._lin)
 
     def _rank(self, T):
         """Rank of the facet rows in T with the lineality rows (l, 0)."""
-        return integer_rank([a for j, a in enumerate(self._rows) if T >> j & 1]
-                            + self._lin_rows)
+        return integer_rank(in_mask(self._rows, T) + self._lin_rows)
 
     def _cell(self, i, others, T):
         """The face of chamber i where each term of others ties with its

@@ -3,9 +3,9 @@
 Most functions compute an answer the library now reads off the chambers
 of a fan, the slow way: by Minkowski sums and hulls, or by one face
 query or argmax per wall.  cells_by_face and containment_by_fractions
-build the walls and ridges of T(f) as faces of its chambers and decide
-variety containment in Fractions at every chamber generator, where the
-library reads both off the facet rows of f's lifted hull.
+build the walls and ridges of T(f) by one double description per cell
+and decide variety containment in Fractions at every chamber generator,
+where the library reads both off the facet rows of f's lifted hull.
 root_form_rows is the mirror pairing of a Coxeter fan, the balancing
 formulation the library replaced by the lattice balancing matrix with
 metric columns.  covector_lift finds the
@@ -55,6 +55,7 @@ from tropfactor.permutahedra import OrderedPartition, TooSmall, quotient_point
 from tropfactor.polyhedra import (
     Fan,
     LatticePolytope,
+    Polyhedron,
     demote_vector,
     integer_row,
     rref_basis,
@@ -143,10 +144,10 @@ def cells_by_face(T):
 
     The route the complex took before it read cells off facet masks:
     the face of the chamber of one end of the dual edge or 2-face on the
-    rows where the other ends tie with it, found by checking every
-    chamber generator against the rows, and a dimension check by row
-    reduction.  walls maps each wall key to (dual edge, weight), ridges
-    each ridge key to its dual 2-face.
+    rows where the other ends tie with it, by a fresh double description
+    of the chamber's rows with those rows as equalities, and a dimension
+    check by row reduction.  walls maps each wall key to (dual edge,
+    weight), ridges each ridge key to its dual 2-face.
     """
     f = T.f
     index = {a: i for i, a in enumerate(T.chamber_terms)}
@@ -154,7 +155,8 @@ def cells_by_face(T):
     def face(cell, dim):
         a = cell[0]
         C = T.chambers[index[a]]
-        F = C.face([(vsub(b, a), f.terms[a] - f.terms[b]) for b in cell[1:]])
+        rows = [(vsub(b, a), f.terms[a] - f.terms[b]) for b in cell[1:]]
+        F = Polyhedron(f.n, C.inequalities, C.equalities + rows)
         if F.dim() != dim:
             raise CertificateError(f"{cell} dualizes to no cell of dim {dim}")
         return F.key()

@@ -943,6 +943,63 @@ class TestBasisChecksSurvivePythonO:
         assert proc.stdout.strip() == "3"
 
 
+class TestCellChecksSurvivePythonO:
+    def test_checks_survive_python_O(self):
+        script = textwrap.dedent("""
+            import itertools
+
+            import tropfactor.coxeter as coxeter
+            import tropfactor.permutahedra as permutahedra
+            import tropfactor.polyhedra as polyhedra
+            from tropfactor.exact import CertificateError
+            from tropfactor.permutahedra import OrderedPartition
+
+            if __debug__:
+                raise SystemExit("asserts are on")
+            failures = 0
+
+            def expect_failure(call):
+                global failures
+                try:
+                    call()
+                except CertificateError:
+                    failures += 1
+
+            # every wall gets the same label
+            permutahedra._partition_of_point = lambda g: OrderedPartition(
+                ((1, 2), (3,)))
+            expect_failure(lambda: permutahedra.universal_fan(2))
+            # labels of the wrong ground set: three blocks for A2
+            permutahedra._partition_of_point = lambda g: OrderedPartition(
+                ((1, 2), (3,), (4,)))
+            expect_failure(lambda: permutahedra.universal_fan(2))
+            # B2 chambers in place of its walls: two rays each
+            rs = coxeter.build_root_system("B2")
+            chambers = coxeter.coxeter_fan(rs).fan.chambers
+
+            class NotWalls:
+                walls = dict(enumerate(chambers))
+
+            expect_failure(lambda: coxeter._b2_labels(rs, NotWalls))
+            # every pair of facet rows of the octahedron's chambers taken
+            # for a ridge: opposite rows of a four-sided chamber meet in
+            # the origin only
+            octahedron = polyhedra.LatticePolytope(
+                [v for i in range(3) for s in (1, -1)
+                 for v in [tuple(s * (j == i) for j in range(3))]])
+            chambers = octahedron.normal_fan().chambers
+            polyhedra.adjacent_pairs = lambda masks: [
+                (i, j, masks[i] & masks[j])
+                for i, j in itertools.combinations(range(len(masks)), 2)]
+            expect_failure(lambda: polyhedra.Fan(chambers).ridges)
+            print(failures)
+            """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "4"
+
+
 # ---------------------------------------------------------------------------
 # ray heights against the routes they replaced: the kernel by elimination
 # of Phi and the expansion with every wall length over Q(sqrt(2))

@@ -382,9 +382,8 @@ class TestCertificates:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("face", "dim"):
-            monkeypatch.setattr(Polyhedron, name,
-                                counted(name, getattr(Polyhedron, name)))
+        monkeypatch.setattr(Polyhedron, "dim",
+                            counted("dim", Polyhedron.dim))
         monkeypatch.setattr(polyhedra, "row_reduce",
                             counted("row_reduce", polyhedra.row_reduce))
         g = TropicalPolynomial({(0, 0, 0): 0, (1, 0, 0): -1,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -705,21 +706,75 @@ class TestFacesAgainstPerCellDD:
         for k, W in fan.walls.items():
             assert W.key() == k
 
+    def check_normal_fan(self, P):
+        fan = P.normal_fan()
+        self.check_fan(fan)
+        chambers = dict(zip(fan.labels, fan.chambers))
+        # the normal fan keys each wall by the chamber of one end
+        want = {per_cell_dd(chambers[u], [(vsub(u, v), 0)]).key(): (u, v)
+                for u, v in P.edges()}
+        assert fan.wall_duals == want
+        return fan
+
     def test_octagon_and_cube_normal_fans(self):
         cube = [p for p in itertools.product((0, 1), repeat=3)]
         for pts in (OCTAGON, cube):
-            P = LatticePolytope(pts)
-            fan = P.normal_fan()
-            self.check_fan(fan)
-            chambers = dict(zip(fan.labels, fan.chambers))
-            # the normal fan keys each wall by the chamber of one end
-            want = {per_cell_dd(chambers[u], [(vsub(u, v), 0)]).key(): (u, v)
-                    for u, v in P.edges()}
-            assert fan.wall_duals == want
+            self.check_normal_fan(LatticePolytope(pts))
+
+    def test_random_3d_normal_fans(self):
+        rng = random.Random(1608)
+        fans = []
+        while len(fans) < 10:
+            pts = {tuple(rng.randint(-2, 2) for _ in range(3))
+                   for _ in range(rng.randint(5, 9))}
+            P = LatticePolytope(sorted(pts))
+            if P.dim() == 3:
+                fans.append(self.check_normal_fan(P))
+        # a vertex on four or more facets: a chamber that is not simplicial
+        assert any(len(C.rays) > 3 for fan in fans for C in fan.chambers)
+
+    def test_sqrt2_normal_fans(self):
+        # the edge (1, 2 sqrt 2) has length 3 and the irrational facet
+        # normal (-2 sqrt 2, 1); in the prism that normal spans a ridge
+        triangle = [(0, 0), (1, 0), (1, 2 * SQRT2)]
+        self.check_normal_fan(LatticePolytope(triangle))
+        fan = self.check_normal_fan(LatticePolytope(
+            [p + (z,) for p in triangle for z in (0, 1)]))
+        assert any(not polyhedra.is_rational_vector(r)
+                   for R in fan.ridges.values() for r in R.rays)
+        # the prism's fan times the line through (1, 1, 1, 1): the rank of
+        # that ridge's ray with the line is an elimination over the field
+        self.check_fan(Fan([
+            Polyhedron(4, [(a + (-sum(a),), b) for a, b in C.inequalities])
+            for C in fan.chambers]))
 
     def test_coxeter_fans(self):
-        for name in ("B2", "A3"):
+        for name in ("A1", "A2", "B2", "A3"):
             self.check_fan(coxeter_fan(build_root_system(name)).fan)
+
+    def test_cones_with_an_offset_raise(self):
+        with pytest.raises(ValueError):
+            Fan([Polyhedron(1, [((1,), 1)]),
+                 Polyhedron(1, [((-1,), -1)])]).walls
+
+    def test_cells_take_no_dimension_query_or_elimination(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Polyhedron, "dim",
+                            counted("dim", Polyhedron.dim))
+        monkeypatch.setattr(polyhedra, "row_reduce",
+                            counted("row_reduce", polyhedra.row_reduce))
+        cube = LatticePolytope(list(itertools.product((0, 1), repeat=3)))
+        for fan in (cube.normal_fan(),
+                    coxeter_fan(build_root_system("A3")).fan):
+            assert fan.walls and fan.ridges
+        assert not calls
 
     def test_fans_with_lineality(self):
         from tropfactor.formats import weighted_fan_from_json
@@ -774,19 +829,6 @@ class TestFacesAgainstPerCellDD:
             assert set(T.ridges) == ridges
             for k, R in T.ridges.items():
                 assert R.key() == k
-
-    def test_invalid_rows_raise(self):
-        square = Polyhedron(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1),
-                                ((0, -1), 0)])
-        assert square.face([((1, 0), 1)]).vertices == [(1, 0), (1, 1)]
-        with pytest.raises(ValueError):
-            square.face([((1, 0), 0)])  # the vertex (1, 0) violates it
-        quadrant = Polyhedron(2, [((-1, 0), 0), ((0, -1), 0)])
-        with pytest.raises(ValueError):
-            quadrant.face([((1, 0), 0)])  # the ray (1, 0) violates it
-        half_plane = Polyhedron(2, [((-1, 0), 0)])
-        with pytest.raises(ValueError):
-            half_plane.face([((0, 1), 0)])  # the lineality leaves it
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,11 @@ class TestCovectorAgainstLift:
                 rows.append(tuple(row))
         assert balance_matrix(case, keys) == rows
 
+    def test_lower_dimensional_fan_has_no_ridges(self):
+        (case,) = [c for c in _covector_cases() if isinstance(c, Fan)
+                   and any(C.equalities for C in c.chambers)]
+        assert len(case.walls) == 4 and case.ridges == {}
+
     def test_cases_reach_quotients_off_the_coordinate_axes(self):
         # in space a ridge is a line, and A is a 2 x 3 matrix that is not
         # a coordinate projection for some ridges
