@@ -1,11 +1,12 @@
 """Coxeter fans and Phi-polytopes over Q(sqrt(2)).
 
 A finite reflection arrangement in R^n cuts space into the chambers of
-the Coxeter fan; its walls lie on the mirror hyperplanes.  The weight
-of a Phi-polytope on a wall F is the metric length of the edge dual to
-F, which is parallel to the primitive normal of F: l_F times its
-lattice length, l_F the primal norm of that normal.  So metric weights w
-are balanced exactly when w_F / l_F lies in the kernel of the lattice
+the Coxeter fan, the normal fan of the orbit polytope of a generic
+point; its walls lie on the mirror hyperplanes.  The weight of a
+Phi-polytope on a wall F is the metric length of the edge dual to F,
+which is parallel to the primitive normal of F: l_F times its lattice
+length, l_F the primal norm of that normal.  So metric weights w are
+balanced exactly when w_F / l_F lies in the kernel of the lattice
 balancing matrix Phi (tropical.balance_matrix).
 
 The fans are simplicial: a support function is fixed by its heights on
@@ -189,12 +190,15 @@ class RootSystem:
         C = Polyhedron(self.n, [(tuple(-x for x in self.mirror(r)),
                                  Fraction(0)) for r in self.int_positive])
         ineqs, eqs = C.minimal_hrep()
-        assert not eqs, "the fundamental chamber is full-dimensional"
+        if eqs:
+            raise CertificateError("the fundamental chamber is not "
+                                   "full-dimensional")
         facets = {normalize_ray(tuple(-x for x in a)) for a, _ in ineqs}
         simple = [r for r in self.int_positive
                   if normalize_ray(self.mirror(r)) in facets]
-        assert len(simple) == len(facets), (
-            "every facet of the fundamental chamber lies on a mirror")
+        if len(simple) != len(facets):
+            raise CertificateError(
+                "a facet of the fundamental chamber lies on no mirror")
         return simple
 
     def __repr__(self):
@@ -238,14 +242,15 @@ def build_root_system(tag: str) -> RootSystem:
                                   for k in range(n)))
     int_roots = [tuple(r) for r in ints] + [tuple(-x for x in r) for r in ints]
     rs = RootSystem(tag, n, gram, int_roots)
-    if tag.startswith("A"):
-        assert all(rs.gdot(r, r) == 2 for r in rs.int_roots), (
-            "all type A roots have squared dual norm 2")
+    if tag.startswith("A") and any(rs.gdot(r, r) != 2 for r in rs.int_roots):
+        raise CertificateError("a type A root has squared dual norm not 2")
     roots = set(rs.roots)
-    for r in rs.int_roots:
-        image = {rs.reflect_dual(u, r) for u in roots}
-        assert image == roots, "each reflection permutes the root set"
-    assert len(rs.int_simple) == n, "the simple roots form a base"
+    if any({rs.reflect_dual(u, r) for u in roots} != roots
+           for r in rs.int_roots):
+        raise CertificateError("a reflection does not permute the root set")
+    if len(rs.int_simple) != n:
+        raise CertificateError(
+            f"{len(rs.int_simple)} simple roots found, not {n}")
     return rs
 
 
@@ -349,27 +354,21 @@ def _b2_labels(rs: RootSystem, fan: Fan):
 def coxeter_fan(rs: RootSystem) -> CoxeterFan:
     """The complete fan of Weyl chambers of the arrangement of rs.
 
-    Chambers are found as the orbit of the fundamental chamber under the
-    simple reflections; each is described by its sign vector against the
-    positive-root mirrors.  The count equals the group order, which
-    checks simple transitivity.
+    The normal fan of the orbit polytope of x, <x, alpha> = 1 for each
+    simple root alpha (Ardila-Castillo-Eur-Postnikov, arXiv:1904.11029),
+    from one hull: phi_permutahedron certifies the group order of
+    vertices, and each wall is checked to lie on a mirror, so each open
+    Weyl chamber lies in one of as many normal cones, and they are equal.
+    Chambers are listed by their interior points, the sums of their rays.
     """
-    mirrors = [rs.mirror(r) for r in rs.int_positive]
-    fundamental = Polyhedron(rs.n, [(tuple(-x for x in rs.mirror(r)),
-                                     Fraction(0)) for r in rs.int_simple])
-    p0 = demote_vector(fundamental.relative_interior_point())
-    points = rs.orbit(p0, rs.reflect_dual)
-    assert len(points) == _GROUP_ORDER[rs.tag], (
-        "the group acts simply transitively on the chambers")
-    chambers = []
-    for p in sorted(points):
-        ineqs = []
-        for m in mirrors:
-            s = sign(dot(m, p))
-            assert s != 0, "orbit points of a generic point stay generic"
-            ineqs.append((vscale(-s, m), Fraction(0)))
-        chambers.append(Polyhedron(rs.n, ineqs))
-    fan = Fan(chambers)
+    x = solve_linear(rs.int_simple, (1,) * rs.n)
+    fan = Fan(sorted(phi_permutahedron(rs, x).normal_fan().chambers,
+                     key=Polyhedron.relative_interior_point))
+    mirrors = {normalize_ray(rs.mirror(r)) for r in rs.int_roots}
+    if any(normalize_ray(sides[0][1]) not in mirrors
+           for sides in fan.wall_chambers.values()):
+        raise CertificateError(
+            "a wall of the orbit polytope's normal fan lies on no mirror")
     if rs.tag == "B2":
         wall_order, labels = _b2_labels(rs, fan)
     else:

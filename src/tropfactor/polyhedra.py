@@ -750,8 +750,7 @@ class LatticePolytope:
         normals = [a for a, _ in self.inequalities]
         chambers = []
         for v, t, near in zip(self.vertices, self._tight, neighbours):
-            rows = [(integer_row(vsub(self.vertices[j], v)), Fraction(0))
-                    for j in near]
+            rows = [(integer_row(vsub(self.vertices[j], v)), 0) for j in near]
             chambers.append(Polyhedron(self.n, rows, generators=(
                 [origin], in_mask(normals, t), ())))
         fan = Fan(chambers, labels=list(self.vertices))

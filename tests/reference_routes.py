@@ -8,7 +8,10 @@ and decide variety containment in Fractions at every chamber generator,
 where the library reads both off the facet rows of f's lifted hull.
 root_form_rows is the mirror pairing of a Coxeter fan, the balancing
 formulation the library replaced by the lattice balancing matrix with
-metric columns.  covector_lift finds the
+metric columns.  coxeter_fan_by_sign_vectors cuts each Weyl chamber
+from the mirrors of all positive roots by its sign vector, one double
+description per chamber, where the library reads the chambers off the
+normal fan of one orbit polytope.  covector_lift finds the
 primitive vector of a wall over a ridge in Z^n through saturated
 direction lattices, where the library reads its image in the ridge's
 quotient coordinates off two interior points.  phi_kernel_by_nullspace
@@ -29,6 +32,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, NamedTuple
 
+from tropfactor.coxeter import CoxeterFan, _b2_labels
 from tropfactor.exact import (
     CertificateError,
     TropfactorError,
@@ -39,6 +43,7 @@ from tropfactor.exact import (
     rational_content,
     sign,
     solve_linear,
+    vscale,
     vsub,
 )
 from tropfactor.minkowski import (
@@ -301,6 +306,33 @@ def root_form_rows(cf) -> RootForm:
                 norms[col[plus]] = norms[col[minus]] = rs.root_norm(r)
             rows.append(tuple(row))
     return RootForm(pairs, rows, norms)
+
+
+def coxeter_fan_by_sign_vectors(rs) -> CoxeterFan:
+    """The Weyl chambers of rs, each cut from every positive-root mirror.
+
+    The orbit of an interior point of the fundamental chamber under the
+    simple reflections has one point in each chamber, and the chamber is
+    the cone of that point's sign vector against the mirrors.  Wall
+    order and labels are set as coxeter_fan sets them.
+    """
+    mirrors = [rs.mirror(r) for r in rs.int_positive]
+    fundamental = Polyhedron(rs.n, [(tuple(-x for x in rs.mirror(r)),
+                                     Fraction(0)) for r in rs.int_simple])
+    p0 = demote_vector(fundamental.relative_interior_point())
+    chambers = []
+    for p in sorted(rs.orbit(p0, rs.reflect_dual)):
+        signs = [sign(dot(m, p)) for m in mirrors]
+        if 0 in signs:
+            raise CertificateError("an orbit point lies on a mirror")
+        chambers.append(Polyhedron(rs.n, [(vscale(-s, m), Fraction(0))
+                                          for s, m in zip(signs, mirrors)]))
+    fan = Fan(chambers)
+    if rs.tag == "B2":
+        wall_order, labels = _b2_labels(rs, fan)
+    else:
+        wall_order, labels = sorted(fan.walls), None
+    return CoxeterFan(rs, fan, wall_order, labels)
 
 
 def phi_kernel_by_nullspace(cf) -> list:

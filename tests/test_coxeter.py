@@ -18,6 +18,7 @@ import pytest
 from reference_routes import (
     basis_of_polytopes,
     covector_lift,
+    coxeter_fan_by_sign_vectors,
     phi_expand_over_the_field,
     phi_kernel_by_nullspace,
     root_form_rows,
@@ -285,6 +286,41 @@ class TestCoxeterFanTypeA:
         assert len(cf.fan.walls) == 1
         assert not cf.fan.ridges
         assert root_balanced(cf, (Fraction(5),))
+
+
+FAN_TYPES = ("A1", "A2", "A3", "A4", "B2")
+GROUP_ORDER = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8}
+
+
+class TestCoxeterFanAgainstSignVectors:
+    """The orbit polytope's normal fan against chambers cut from mirrors."""
+
+    @pytest.mark.parametrize("tag", FAN_TYPES)
+    def test_same_cells_wall_order_and_labels(self, tag):
+        cf, ref = cfan(tag), coxeter_fan_by_sign_vectors(rsys(tag))
+        assert len(ref.fan.chambers) == GROUP_ORDER[tag]
+        assert [C.key() for C in cf.fan.chambers] == \
+            [C.key() for C in ref.fan.chambers]
+        assert cf.fan.wall_chambers == ref.fan.wall_chambers
+        assert {k: set(ws) for k, ws in cf.fan.ridge_walls.items()} == \
+            {k: set(ws) for k, ws in ref.fan.ridge_walls.items()}
+        assert cf.wall_order == ref.wall_order
+        assert cf.labels == ref.labels
+
+    @pytest.mark.parametrize("tag", FAN_TYPES)
+    def test_one_hull_per_fan(self, tag, monkeypatch):
+        rs = rsys(tag)
+        calls = []
+        real_dd = polyhedra.dd_cone
+
+        def dd(*args):
+            calls.append(args)
+            return real_dd(*args)
+
+        monkeypatch.setattr(polyhedra, "dd_cone", dd)
+        monkeypatch.setattr(minkowski, "dd_cone", dd)
+        coxeter_fan(rs).fan.ridges  # cells are computed on demand
+        assert len(calls) == 1
 
 
 class TestRootBalanced:
@@ -981,6 +1017,38 @@ class TestCellChecksSurvivePythonO:
                 walls = dict(enumerate(chambers))
 
             expect_failure(lambda: coxeter._b2_labels(rs, NotWalls))
+            # an octagon with edges along (1, -2) and (2, -1), off B2's
+            # mirrors, for its orbit polytope
+            permutahedron = coxeter.phi_permutahedron
+            coxeter.phi_permutahedron = lambda rs, x: (
+                polyhedra.LatticePolytope([(3, 0), (2, 2), (0, 3), (-2, 2),
+                                           (-3, 0), (-2, -2), (0, -3),
+                                           (2, -2)]))
+            expect_failure(lambda: coxeter.coxeter_fan(rs))
+            coxeter.phi_permutahedron = permutahedron
+            # a fundamental chamber with an equality, then with a facet
+            # on no mirror
+            Polyhedron = coxeter.Polyhedron
+            coxeter.Polyhedron = lambda n, rows: Polyhedron(
+                n, rows, [((1,) + (0,) * (n - 1), 0)])
+            expect_failure(lambda: coxeter.build_root_system("A2"))
+            coxeter.Polyhedron = lambda n, rows: Polyhedron(
+                n, list(rows) + [((-2, 3), 0)])
+            expect_failure(lambda: coxeter.build_root_system("B2"))
+            coxeter.Polyhedron = Polyhedron
+            # type A roots of squared norm 4, a reflection that doubles
+            # the roots, and one simple root for A2
+            RootSystem = coxeter.RootSystem
+            for name, patched in [
+                    ("gdot", lambda self, u, v: 2 * RootSystem.gdot(
+                        self, u, v)),
+                    ("reflect_dual", lambda self, x, r: tuple(
+                        2 * c for c in x)),
+                    ("_find_simple", lambda self: self.int_positive[:1])]:
+                patched_rs = type("Patched", (RootSystem,), {name: patched})
+                coxeter.RootSystem = patched_rs
+                expect_failure(lambda: coxeter.build_root_system("A2"))
+            coxeter.RootSystem = RootSystem
             # every pair of facet rows of the octahedron's chambers taken
             # for a ridge: opposite rows of a four-sided chamber meet in
             # the origin only
@@ -997,7 +1065,7 @@ class TestCellChecksSurvivePythonO:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "4"
+        assert proc.stdout.strip() == "10"
 
 
 # ---------------------------------------------------------------------------
