@@ -12,9 +12,9 @@ balancing matrix Phi (tropical.balance_matrix).
 The fans are simplicial: a support function is fixed by its heights on
 the rays, and the lattice weights of the walls are linear in them (the
 height map M of RayHeights, whose image is ker Phi).  The weight kernel
-comes from one elimination of M, and a basis polytope is its table of
-chamber gradients.  An expansion is the one of every factorization
-basis (FactorizationBasis.expand): it reads the lattice weights of a
+comes from one elimination of M.  Bases, their chamber tables and
+expansions are those of every fan (FactorizationBasis): a table is
+walked from its vector, and an expansion reads the lattice weights of a
 polytope off the steps of its chamber table.  In type A all mirror
 directions have one primal norm u, so that work runs in lattice units,
 on rationals, and scales by u once.
@@ -49,7 +49,7 @@ from .exact import (
     vscale,
     vsub,
 )
-from .division import reconstruct_from_fan
+from .division import NotBalanced, reconstruct_from_fan
 from .minkowski import (
     FactorizationBasis,
     NotRefined,
@@ -359,11 +359,12 @@ def coxeter_fan(rs: RootSystem) -> CoxeterFan:
     from one hull: phi_permutahedron certifies the group order of
     vertices, and each wall is checked to lie on a mirror, so each open
     Weyl chamber lies in one of as many normal cones, and they are equal.
-    Chambers are listed by their interior points, the sums of their rays.
+    The vertex normal cones are listed by their interior points, the sums
+    of their rays, and their cells are derived once, with no edge weights.
     """
     x = solve_linear(rs.int_simple, (1,) * rs.n)
-    fan = Fan(sorted(phi_permutahedron(rs, x).normal_fan().chambers,
-                     key=Polyhedron.relative_interior_point))
+    chambers, _ = phi_permutahedron(rs, x).normal_cones()
+    fan = Fan(sorted(chambers, key=Polyhedron.relative_interior_point))
     mirrors = {normalize_ray(rs.mirror(r)) for r in rs.int_roots}
     if any(normalize_ray(sides[0][1]) not in mirrors
            for sides in fan.wall_chambers.values()):
@@ -401,60 +402,51 @@ class RayHeights:
     """The height map M: Q^rays -> Q^walls of a complete simplicial fan.
 
     On a chamber C the gradient x_C(h) of the function with heights h
-    solves rho . x = h(rho) for the n rays of C (table).  The lattice
-    weight of the wall between C and D is x_D - x_C along the primitive
-    inward normal p of D: (h(rho_D) - rho_D . x_C(h)) / (rho_D . p) for
-    the ray rho_D of D off the wall, the column of M for that wall
-    (columns).  The kernel of M is the linear functions and its image is
-    ker Phi, McMullen's wall-crossing description of the type cone
-    (arXiv:1906.06861, section 2).
+    solves rho . x = h(rho) for the n rays of C.  The lattice weight of
+    the wall between C and D is x_D - x_C along the primitive inward
+    normal p of D: (h(rho_D) - rho_D . x_C(h)) / (rho_D . p) for the ray
+    rho_D of D off the wall, the column of M for that wall (columns),
+    read off the inverse of C's rays.  The kernel of M is the linear
+    functions and its image is ker Phi, McMullen's wall-crossing
+    description of the type cone (arXiv:1906.06861, section 2).
     """
 
     def __init__(self, fan: Fan):
         index, n = {}, fan.n
-        self.chamber_rays, self.inverse = [], []
+        chamber_rays, inverse = [], []
         for C in fan.chambers:
             if C.lineality or len(C.rays) != n:
                 raise CertificateError("a chamber is not simplicial")
-            self.chamber_rays.append(tuple(index.setdefault(r, len(index))
-                                           for r in C.rays))
+            chamber_rays.append(tuple(index.setdefault(r, len(index))
+                                      for r in C.rays))
             red, _ = row_reduce([tuple(r) + tuple(int(i == j)
                                                   for j in range(n))
                                  for i, r in enumerate(C.rays)])
-            self.inverse.append([row[n:] for row in red])
+            inverse.append([row[n:] for row in red])
         self.rays = list(index)
         self.columns = {}
         for k, ((i, _), (j, inward)) in fan.wall_chambers.items():
-            (d,) = set(self.chamber_rays[j]) - set(self.chamber_rays[i])
-            rho, inv = self.rays[d], self.inverse[i]
+            (d,) = set(chamber_rays[j]) - set(chamber_rays[i])
+            rho, inv = self.rays[d], inverse[i]
             c = Fraction(dot(rho, primitive_of_rational(inward)))
             col = self.columns[k] = {d: 1 / c}
-            for t, e in enumerate(self.chamber_rays[i]):
+            for t, e in enumerate(chamber_rays[i]):
                 lam = sum(rho[s] * inv[s][t] for s in range(n))
                 if lam:
                     col[e] = -lam / c
 
-    def table(self, h) -> tuple:
-        """The gradients x_C(h), in fan.chambers order."""
-        return tuple(demote_vector(dot(row, [h[e] for e in ids])
-                                   for row in inv)
-                     for ids, inv in zip(self.chamber_rays, self.inverse))
-
     def image_basis(self, order) -> list:
-        """The reduced basis of the image of M, as (z, h) with M . h = z.
+        """The reduced basis z of the image of M.
 
         M is row-reduced as a #rays x #walls matrix with its columns in
-        reverse order, beside an identity block that tracks the heights.
-        The reversed echelon form is the basis of ker Phi that
-        nullspace_field gives: z is 1 at its free column f, 0 at the
+        reverse order.  The reversed echelon form is the basis of ker Phi
+        that nullspace_field gives: z is 1 at its free column f, 0 at the
         other free columns and after f.  The list runs by increasing f.
         """
-        m, nr = len(order), len(self.rays)
-        red, pivots = row_reduce([
-            tuple(self.columns[k].get(e, 0) for k in reversed(order))
-            + tuple(int(e == i) for i in range(nr)) for e in range(nr)])
-        return [(row[m - 1::-1], row[m:])
-                for row, p in zip(red, pivots) if p < m][::-1]
+        red, _ = row_reduce([tuple(self.columns[k].get(e, 0)
+                                   for k in reversed(order))
+                             for e in range(len(self.rays))])
+        return [row[::-1] for row in red][::-1]
 
 
 def ray_heights(fan: Fan) -> RayHeights:
@@ -473,65 +465,50 @@ def phi_weight_cone_basis(cf: CoxeterFan) -> FactorizationBasis:
 
     Metric weights w are balanced exactly when (w_j / l_j) lies in ker
     Phi, the image of the height map; one elimination of M gives its
-    reduced basis z, with Phi . z = 0 checked over Q, and heights h with
-    M . h = z (RayHeights.image_basis).  z, with free column f (its last
-    non-zero entry), maps to x_j = z_j l_j / l_f, the field kernel
-    vector of Phi . diag(1/l) with x_f = 1.  The all-ones vector is
-    balanced (the weights of the orbit polytope of the point at distance
-    1/2 from every wall of the fundamental chamber); it is the sum of
-    the x, which is checked, so it replaces the first of them, and
-    adding multiples of it makes the others non-negative.  Rows follow
-    cf.wall_order.
+    reduced basis z (RayHeights.image_basis), with Phi . z = 0 checked
+    over Q.  z, with free column f (its last non-zero entry), maps to
+    x_j = z_j l_j / l_f, the field kernel vector of Phi . diag(1/l) with
+    x_f = 1.  The all-ones vector is balanced (the weights of the orbit
+    polytope of the point at distance 1/2 from every wall of the
+    fundamental chamber); it is the sum of the x, which is checked, so it
+    replaces the first of them, and adding multiples of it makes the
+    others non-negative.  Rows follow cf.wall_order.
 
-    Basis polytope B_i is given by the chamber table of u B_i from its
-    heights.  In type A, u is RootSystem.mirror_unit, the one primal
-    norm of the mirror directions, so u B_i has lattice weights x and
-    rational heights; B2 takes u = 1 and heights h / l_f.  Each table is
-    checked to step by its vector across every wall, hence to be the
-    table of a convex support function; hulls are built only when
-    basis.polytopes is read.
+    The basis tables are the walks of the vectors (FactorizationBasis)
+    with unit u: in type A, RootSystem.mirror_unit, the one primal norm
+    of the mirror directions, so the walks step by the rational x; B2
+    takes u = 1.  The vectors are balanced, so a walk that does not close
+    is a CertificateError.
     """
     m = len(cf.wall_order)
     Phi, lengths = cf.balance_rows()
-    heights = ray_heights(cf.fan)
-    unit = 1 if cf.rs.mirror_unit is None else cf.rs.mirror_unit
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in Phi]
-    kernel = []  # (x, heights of u B)
-    for z, h in heights.image_basis(cf.wall_order):
+    kernel = []
+    for z in ray_heights(cf.fan).image_basis(cf.wall_order):
         if any(sum(x * z[j] for j, x in row) for row in rows):
             raise CertificateError(
                 "a vector of the ray-height kernel is not balanced")
         lf = lengths[max(j for j, x in enumerate(z) if x)]
-        kernel.append((demote_vector(x if not x or l == lf else x * l / lf
-                                     for x, l in zip(z, lengths)),
-                       h if lf == unit else demote_vector(x * unit / lf
-                                                          for x in h)))
+        kernel.append(demote_vector(x if not x or l == lf else x * l / lf
+                                    for x, l in zip(z, lengths)))
     ones = (Fraction(1),) * m
-    if not kernel or tuple(map(sum, zip(*(v for v, _ in kernel)))) != ones:
+    if not kernel or tuple(map(sum, zip(*kernel))) != ones:
         raise CertificateError(
             "the balanced weight kernel does not sum to the all-ones vector")
-    out = [(ones, demote_vector(map(sum, zip(*(h for _, h in kernel)))))]
-    for v, h in kernel[1:]:
+    out = [ones]
+    for v in kernel[1:]:
         c = min(v)
-        if sign(c) < 0:
-            v, h = vadd(v, vscale(-c, ones)), vadd(h, vscale(-c, out[0][1]))
-        out.append((demote_vector(v), h))
-    tables = [heights.table(h) for _, h in out]
-    # into chamber b across wall j, x_b - x_a = (v_j u / l_j) p_b
-    steps = [(a, b, primitive_of_rational(inward),
-              1 if length == unit else unit / length)
-             for k, length in zip(cf.wall_order, lengths)
-             for (a, _), (b, inward) in [cf.fan.wall_chambers[k]]]
-    for (v, _), table in zip(out, tables):
-        if any(vsub(table[b], table[a]) != vscale(x * c, p)
-               for x, (a, b, p, c) in zip(v, steps)):
-            raise CertificateError(
-                "the chamber table of a basis polytope does not step by its "
-                "basis vector across the walls")
-    return FactorizationBasis(
-        cf.fan, [WeightVector(cf.fan, dict(zip(cf.wall_order, v)))
-                 for v, _ in out], tables,
-        order=cf.wall_order, length=cf.rs.primal_norm, unit=unit)
+        out.append(demote_vector(vadd(v, vscale(-c, ones)) if sign(c) < 0
+                                 else v))
+    try:
+        return FactorizationBasis(
+            cf.fan, [WeightVector(cf.fan, dict(zip(cf.wall_order, v)))
+                     for v in out], order=cf.wall_order,
+            length=cf.rs.primal_norm,
+            unit=1 if cf.rs.mirror_unit is None else cf.rs.mirror_unit)
+    except NotBalanced as e:
+        raise CertificateError("the walk of a balanced basis vector does "
+                               "not close") from e
 
 
 def reconstruct_phi(cf: CoxeterFan, w) -> LatticePolytope:

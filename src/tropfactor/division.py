@@ -318,37 +318,45 @@ def support_table(fan: Fan, weights: Dict) -> list:
     length, a multiple of the primitive normal of the wall.  The walk
     over the chamber graph starts at the origin on chamber 0, and
     crossing a wall into chamber j adds weight * (inward normal of j) to
-    the gradient; the result lists one gradient per chamber.  Loop
-    closure is exactly the balancing condition, so NotBalanced when the
-    walk disagrees with itself, when a wall has one side or a weight,
-    or when the chamber graph is disconnected.
+    the gradient; each wall is crossed once, out of the first of its
+    chambers that the walk leaves.  Loop closure is exactly the
+    balancing condition, so NotBalanced when the walk disagrees with
+    itself, when a wall has one side or no weight, or when the chamber
+    graph is disconnected.
     """
-    missing = [k for k in fan.walls if k not in weights]
-    if missing:
-        raise NotBalanced(f"{len(missing)} walls carry no weight")
-    grads = {0: tuple(Fraction(0) for _ in range(fan.n))}
-    order = [0]
-    adj = {i: [] for i in range(len(fan.chambers))}
+    adj = [[] for _ in fan.chambers]
     for k, sides in fan.wall_chambers.items():
+        w = weights.get(k)
+        if w is None:
+            raise NotBalanced(f"{sum(x not in weights for x in fan.walls)} "
+                              f"walls carry no weight")
         if len(sides) != 2:
             raise NotBalanced("fan is not complete: a wall has one side")
-        (i, ai), (j, aj) = sides
-        adj[i].append((j, k, primitive_of_rational(aj)))
-        adj[j].append((i, k, primitive_of_rational(ai)))
+        if isinstance(w, Fraction) and w.denominator == 1:
+            w = w.numerator  # integer weights walk on ints
+        (i, _), (j, inward) = sides
+        step = tuple(w * x for x in primitive_of_rational(inward))
+        adj[i].append((j, k, step))
+        adj[j].append((i, k, tuple(-x for x in step)))
+    grads = [None] * len(fan.chambers)
+    grads[0] = (0,) * fan.n
+    left, order = set(), [0]
     while order:
         i = order.pop()
+        left.add(i)
         for j, k, step in adj[i]:
-            target = vadd(grads[i], tuple(weights[k] * x for x in step))
-            if j in grads:
-                if grads[j] != tuple(target):
-                    raise NotBalanced(
-                        f"support integration disagrees across wall {k}")
-            else:
-                grads[j] = tuple(target)
+            if j in left:
+                continue
+            target = vadd(grads[i], step)
+            if grads[j] is None:
+                grads[j] = target
                 order.append(j)
-    if len(grads) != len(fan.chambers):
+            elif grads[j] != target:
+                raise NotBalanced(
+                    f"support integration disagrees across wall {k}")
+    if len(left) != len(fan.chambers):
         raise NotBalanced("chamber graph is disconnected")
-    return [grads[i] for i in range(len(fan.chambers))]
+    return grads
 
 
 def reconstruct_from_fan(fan: Fan, weights: Dict) -> LatticePolytope:
@@ -356,40 +364,32 @@ def reconstruct_from_fan(fan: Fan, weights: Dict) -> LatticePolytope:
 
     The gradients come from support_table.  The result is translated so
     its lexicographically smallest vertex is the origin.  Signed weights
-    are accepted; only loop closure is required.
-
-    With weights >= 0 the result knows its chamber table (see
-    LatticePolytope.chamber_table): the gradient of chamber C is the
-    vertex that maximizes the interior of C.  Loop closure makes the
-    integrated function h continuous, and crossing a wall into chamber
-    j adds weight * (inward normal of j) to the gradient, so h is at
-    least the linear extension of its neighbour on each side of every
-    wall.  A continuous piecewise-linear function on a complete fan
-    that is convex across every wall is convex, so h is the maximum of
-    its gradients: the support function of their hull, attained on the
-    interior of C only at the gradient of C.  The table is checked to
-    hit every vertex of the hull once more (CertificateError if not).
-    Signed weights get no table.
+    are accepted; only loop closure is required.  With weights >= 0 the
+    gradients are the vertices, each once (see hull_of_table).
     """
     table = support_table(fan, weights)
     if all(sign(weights[k]) >= 0 for k in fan.walls):
-        return hull_of_table(fan, table)
+        return hull_of_table(table)
     return LatticePolytope(table).normalize_translation()
 
 
-def hull_of_table(fan: Fan, table) -> LatticePolytope:
+def hull_of_table(table) -> LatticePolytope:
     """The hull of the gradients of a convex support function, translated.
 
-    table lists one gradient per chamber of fan; the hull keeps it as
-    its chamber table (see reconstruct_from_fan) once it is checked to
-    hit every vertex, CertificateError if not.
+    table lists one gradient per chamber of a complete fan, stepping by a
+    non-negative weight times the inward normal across every wall.  Loop
+    closure makes the integrated function h continuous, and it is at
+    least the linear extension of its neighbour on each side of every
+    wall.  A continuous piecewise-linear function on a complete fan that
+    is convex across every wall is convex, so h is the maximum of its
+    gradients: the support function of their hull, attained on the
+    interior of a chamber only at its own gradient.  So every gradient is
+    a vertex, CertificateError if not.
     """
     table = [demote_vector(v) for v in table]
     P = LatticePolytope(table)
-    index = {v: i for i, v in enumerate(P.vertices)}
-    if set(table) != set(index):
+    if set(table) != set(P.vertices):
         raise CertificateError(
             "the chamber gradients of a convex support function are not "
             "the vertices of their hull")
-    P.chamber_table = (fan, tuple(index[v] for v in table))
     return P.normalize_translation()

@@ -19,12 +19,12 @@ is h_X(x) = v_C(X).x, where v_C(X) is the vertex of X that maximizes the
 interior of C (chamber_vertices).  Crossing the wall from C into D, the
 vertex steps by the wall's weight times the primitive inward normal of
 D (McMullen's wall-crossing; arXiv:1906.06861, section 2), so the table
-holds every wall weight.  A basis is its vectors and the tables of its
-polytopes, and there is one expansion for every fan, rational or
-Coxeter (FactorizationBasis.expand): it reads r wall weights off the
-table of the polytope, solves for y, and checks the signed Minkowski
-identity chamber by chamber, with no sum and no hull (see
-certify_signed_sum).
+holds every wall weight.  Tables have two sources: the walk of a weight
+vector for a basis polytope (FactorizationBasis), the vertices for a
+given one.  There is one expansion for every fan, rational or Coxeter
+(FactorizationBasis.expand): it reads r wall weights off the table of
+the polytope, solves for y, and checks the signed Minkowski identity
+chamber by chamber, with no sum and no hull (see certify_signed_sum).
 """
 
 from __future__ import annotations
@@ -158,25 +158,33 @@ class FactorizationBasis:
 
     Basis polytope B_i is given by its chamber table: the vertex of
     unit * B_i that maximizes each chamber of the fan, in fan.chambers
-    order and up to one translation (see chamber_vertices).  Expansions
-    read the tables only; the polytopes are the hulls of the tables,
-    scaled by 1/unit and built when first read.  unit is 1 on rational
-    fans; Coxeter bases of type A keep rational tables with an
-    irrational unit (coxeter.phi_weight_cone_basis).
+    order and up to one translation (see chamber_vertices).  Table i is
+    the walk (division.support_table) of the lattice weights v_k unit /
+    l_k of vector i, l_k the length of the primitive normal of wall k:
+    l_k = unit, and the walk rational, on rational fans (unit 1) and in
+    type A (coxeter.phi_weight_cone_basis).  Expansions read the tables
+    only; the polytopes are their hulls, scaled by 1/unit when read.
     """
 
-    def __init__(self, fan: Fan, vectors: List[WeightVector], tables,
-                 order=None, length: Callable = rational_content, unit=1):
-        self.fan, self.vectors, self.tables = fan, vectors, list(tables)
+    def __init__(self, fan: Fan, vectors: List[WeightVector], order=None,
+                 length: Callable = rational_content, unit=1):
+        self.fan, self.vectors = fan, vectors
         self.order = sorted(fan.walls) if order is None else list(order)
         self.length, self.unit = length, unit
+        ratio = {}  # unit / l_k where l_k is not the unit
+        for k, sides in fan.wall_chambers.items():
+            l = length(primitive_of_rational(sides[0][1]))
+            if l != unit:
+                ratio[k] = unit / l
+        self.tables = [support_table(fan, {**w.by_key, **{
+            k: w[k] * c for k, c in ratio.items()}}) for w in vectors]
         self._polytopes = None
         self._solver = None
 
     @property
     def polytopes(self) -> List[LatticePolytope]:
         if self._polytopes is None:
-            hulls = [hull_of_table(self.fan, t) for t in self.tables]
+            hulls = [hull_of_table(t) for t in self.tables]
             self._polytopes = hulls if self.unit == 1 else [
                 B.scale(1 / self.unit) for B in hulls]
         return self._polytopes
@@ -255,35 +263,29 @@ def chamber_vertices(P: LatticePolytope, fan: Fan, not_refined) -> tuple:
     that drops a vertex are the witness.  Such a face is then one
     vertex v_C, for the face is orthogonal to the chamber, which must
     be full-dimensional (IncompleteFan otherwise); and h_P(x) = v_C.x
-    on all of C.  The table is kept on P with its fan, and a polytope
-    that support reconstruction built on the fan comes with it (see
-    LatticePolytope.chamber_table).
+    on all of C.
     """
     if P.n != fan.n:
         raise ValueError("polytope and fan live in different dimensions")
-    if P.chamber_table is None or P.chamber_table[0] is not fan:
-        faces, at = [], {}  # generator -> its face, shared by chambers
-        for C in fan.chambers:
-            p = C.relative_interior_point()
-            F = set(P.face_vertices(p))
-            dirs = list(C.rays)
-            for l in C.lineality:
-                dirs.append(l)
-                dirs.append(tuple(-x for x in l))
-            for r in dirs:
-                if r not in at:
-                    at[r] = set(P.face_vertices(r))
-                if not F <= at[r]:
-                    raise not_refined(
-                        "a chamber of the fan crosses a wall of the "
-                        "polytope's normal fan", {"point": p, "direction": r})
-            faces.append(F)
-        if any(len(F) != 1 for F in faces):
-            raise IncompleteFan("a chamber of the fan is not "
-                                "full-dimensional")
-        index = {v: i for i, v in enumerate(P.vertices)}
-        P.chamber_table = (fan, tuple(index[F.pop()] for F in faces))
-    return tuple(P.vertices[i] for i in P.chamber_table[1])
+    faces, at = [], {}  # generator -> its face, shared by chambers
+    for C in fan.chambers:
+        p = C.relative_interior_point()
+        F = set(P.face_vertices(p))
+        dirs = list(C.rays)
+        for l in C.lineality:
+            dirs.append(l)
+            dirs.append(tuple(-x for x in l))
+        for r in dirs:
+            if r not in at:
+                at[r] = set(P.face_vertices(r))
+            if not F <= at[r]:
+                raise not_refined(
+                    "a chamber of the fan crosses a wall of the "
+                    "polytope's normal fan", {"point": p, "direction": r})
+        faces.append(F)
+    if any(len(F) != 1 for F in faces):
+        raise IncompleteFan("a chamber of the fan is not full-dimensional")
+    return tuple(F.pop() for F in faces)
 
 
 def wall_lengths(P: LatticePolytope, fan: Fan, length: Callable,
@@ -417,7 +419,8 @@ def _balanced_cone_rays(lattice: List[tuple], m: int) -> List[tuple]:
     """
     cons = [(tuple(b[i] for b in lattice), False) for i in range(m)]
     rays, lin, _ = dd_cone(cons, len(lattice))
-    assert not lin, "the non-negativity constraints leave no lineality"
+    if lin:
+        raise CertificateError("the non-negativity constraints leave a line")
     return [normalize_ray(tuple(sum(c * b[i] for c, b in zip(ray, lattice))
                                 for i in range(m)))
             for ray in rays]
@@ -428,8 +431,8 @@ def weight_cone_basis(fan: Fan) -> FactorizationBasis:
 
     The basis vectors form a non-negative lattice basis of the span of
     W(N); the positive witness comes from the extreme rays of the cone of
-    non-negative balanced weights.  Each basis table comes from support
-    integration of its vector (division.support_table), with no hull.
+    non-negative balanced weights.  Each basis table is the walk of its
+    vector (FactorizationBasis), with no hull.
     NotPolytopal if no strictly positive balanced weight vector exists.
     """
     lattice, keys = balanced_weight_lattice(fan)
@@ -443,10 +446,8 @@ def weight_cone_basis(fan: Fan) -> FactorizationBasis:
     if any(x <= 0 for x in witness):
         raise NotPolytopal(
             "no strictly positive balanced weight vector exists")
-    vecs = nonnegative_basis(lattice, witness)
-    weight_vectors = [WeightVector.from_values(fan, v) for v in vecs]
-    return FactorizationBasis(fan, weight_vectors, [
-        support_table(fan, w.by_key) for w in weight_vectors])
+    return FactorizationBasis(fan, [WeightVector.from_values(fan, v) for v
+                                    in nonnegative_basis(lattice, witness)])
 
 
 def certify_signed_sum(table, c, basis: FactorizationBasis):
@@ -520,7 +521,8 @@ def _span_coordinates(P: LatticePolytope):
     coords = []
     for v in P.vertices:
         c = in_lattice(B, vsub(v, v0))
-        assert c is not None, "a saturated basis spans every lattice direction"
+        if c is None:
+            raise CertificateError("a saturated lattice basis misses an edge")
         coords.append(c)
     return LatticePolytope(coords), B
 

@@ -24,10 +24,8 @@ from .coxeter import build_root_system, coxeter_fan
 from .exact import CertificateError, TropfactorError, same_lattice
 from .minkowski import (
     FactorizationBasis,
-    NotRefined,
     TooLarge,
     balanced_weight_lattice,
-    chamber_vertices,
     extended_weights,
     factor,
 )
@@ -366,17 +364,15 @@ def simplex_family_basis(n: int) -> FactorizationBasis:
     """The faces Delta_I as a factorization basis of the universal fan.
 
     Verified on construction: the extended weight columns are a lattice
-    basis of the balanced weight vectors on the fan.  The basis tables
-    are the chamber tables of the Delta_I.
+    basis of the balanced weight vectors on the fan.
     """
     uf = universal_fan(n)
-    simplices = [simplex_polytope(I, n) for I in canonical_subsets(n)]
-    vectors = [extended_weights(Q, uf.fan) for Q in simplices]
+    vectors = [extended_weights(simplex_polytope(I, n), uf.fan)
+               for I in canonical_subsets(n)]
     lattice, _ = balanced_weight_lattice(uf.fan)
     mat = [tuple(int(x) for x in w.values) for w in vectors]
     if not same_lattice(mat, lattice):
         raise CertificateError(
             "the simplex faces do not span the balanced weight lattice of "
             "the fan")
-    return FactorizationBasis(uf.fan, vectors, [
-        chamber_vertices(Q, uf.fan, NotRefined) for Q in simplices])
+    return FactorizationBasis(uf.fan, vectors)

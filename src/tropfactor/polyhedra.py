@@ -502,12 +502,6 @@ class LatticePolytope:
     when no other point lies on a superset of its facets.  Translation
     and positive scaling map this data without a hull, and a Minkowski
     sum takes hulls only of vertices of the sum (see __add__).
-
-    chamber_table is None or (fan, indices): for a complete fan that
-    refines the normal fan, the index in vertices of the vertex that
-    maximizes the interior of each chamber, in fan.chambers order (see
-    minkowski.chamber_vertices).  Translation and scaling keep it, since
-    they keep the order of the vertices.
     """
 
     def __init__(self, points: Iterable[Sequence]):
@@ -530,20 +524,17 @@ class LatticePolytope:
         self._tight = tuple(m for _, m in verts)
         self._facet_of = {a: j for j, (a, _) in enumerate(ineqs)}
         self._ints = None
-        self.chamber_table = None
 
     def _mapped(self, point, offset) -> "LatticePolytope":
         """The image under an order-preserving affine map of the points.
 
         point maps a vertex; offset(a, b) is the new right-hand side of
         the row a.x <= b (or = b), whose normal a is unchanged.  Vertices
-        and offsets are demoted as a fresh hull's are.  The chamber table
-        indexes the vertices, so it carries over.
+        and offsets are demoted as a fresh hull's are.
         """
         Q = object.__new__(LatticePolytope)
         Q.n = self.n
         Q.vertices = tuple(demote_vector(point(v)) for v in self.vertices)
-        Q.chamber_table = self.chamber_table
         Q.inequalities = [(a, _demote(offset(a, b)))
                           for a, b in self.inequalities]
         Q.equalities = [(a, _demote(offset(a, b))) for a, b in self.equalities]
@@ -728,16 +719,14 @@ class LatticePolytope:
 
     # -- normal fan --------------------------------------------------------
 
-    def normal_fan(self) -> "Fan":
-        """The complete normal fan, with edge weights attached to walls.
+    def normal_cones(self):
+        """The vertex normal cones N(v) in vertex order, with each vertex's
+        neighbours along the edges.
 
-        Chambers are the vertex normal cones N(v) in the max convention,
-        read off the incidences with no hull: N(v) is the pointed cone
-        spanned by the outer normals of the facets at v, and its facets
-        (w - v).y <= 0 are dual to the edges (v, w) (Ziegler, Lectures on
-        Polytopes, 7.1).  Each wall (codimension 1 cone) is dual to the
-        edge joining the vertices of its two sides and carries the edge's
-        weight (see edge_weight).
+        N(v), in the max convention, is read off the incidences with no
+        hull: it is the pointed cone spanned by the outer normals of the
+        facets at v, and its facets (w - v).y <= 0 are dual to the edges
+        (v, w) (Ziegler, Lectures on Polytopes, 7.1).
         """
         if self.dim() != self.n:
             raise DegeneratePolytope(
@@ -753,6 +742,16 @@ class LatticePolytope:
             rows = [(integer_row(vsub(self.vertices[j], v)), 0) for j in near]
             chambers.append(Polyhedron(self.n, rows, generators=(
                 [origin], in_mask(normals, t), ())))
+        return chambers, neighbours
+
+    def normal_fan(self) -> "Fan":
+        """The complete normal fan, with edge weights attached to walls.
+
+        Chambers are the vertex normal cones (normal_cones).  Each wall
+        (codimension 1 cone) is dual to the edge joining the vertices of
+        its two sides and carries the edge's weight (see edge_weight).
+        """
+        chambers, neighbours = self.normal_cones()
         fan = Fan(chambers, labels=list(self.vertices))
         fan.wall_weights, fan.wall_duals = {}, {}
         for k, sides in fan.wall_chambers.items():

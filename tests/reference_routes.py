@@ -20,7 +20,8 @@ where the library reads it off ray heights.  phi_expand_over_the_field
 and expand_by_lattice_solve are expansions that measure every wall of
 the fan and solve against the whole basis matrix, over Q(sqrt(2)) or in
 the lattice, where the library reads r walls off the polytope's chamber
-table.
+table; check_basis_tables reads every wall of every basis table and
+compares it with the chamber table of its polytope.
 
 The rest are notions of the source paper that no library routine calls:
 the restriction of ordered partitions, which weight_matrix evaluates on
@@ -28,6 +29,7 @@ bitmasks, strict balanced coarsenings, and complete factorizations by
 recursion over maximal_summand_pairs.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, NamedTuple
@@ -40,6 +42,7 @@ from tropfactor.exact import (
     in_lattice,
     integer_nullspace,
     nullspace_field,
+    primitive_of_rational,
     rational_content,
     sign,
     solve_linear,
@@ -357,10 +360,50 @@ def basis_of_polytopes(basis, polytopes, not_refined=NotRefined):
     The new basis has unit 1: its tables are those of the polytopes
     themselves.
     """
-    return FactorizationBasis(
-        basis.fan, basis.vectors,
-        [chamber_vertices(B, basis.fan, not_refined) for B in polytopes],
-        order=basis.order, length=basis.length)
+    out = FactorizationBasis(basis.fan, basis.vectors, order=basis.order,
+                             length=basis.length)
+    out.tables = [chamber_vertices(B, basis.fan, not_refined)
+                  for B in polytopes]
+    return out
+
+
+def table_steps(fan, table, order):
+    """The lattice weight of each wall read off a chamber table.
+
+    Crossing a wall into chamber D the table steps by the weight times
+    the primitive inward normal p of D; the step must be parallel to p.
+    """
+    out = []
+    for k in order:
+        (i, _), (j, inward) = fan.wall_chambers[k]
+        p = primitive_of_rational(inward)
+        step = vsub(table[j], table[i])
+        t = next(t for t, x in enumerate(p) if x)
+        w = step[t] * Fraction(1, p[t])
+        assert step == vscale(w, p), k
+        out.append(w)
+    return demote_vector(out)
+
+
+def check_basis_tables(basis):
+    """Each basis table against its polytope, with every wall read.
+
+    Table i must be unit times the chamber table of basis polytope i up
+    to one translation, and step by vector i across every wall: by the
+    lattice weight v_k unit / l_k, l_k the length of the primitive
+    normal of wall k.
+    """
+    fan, unit = basis.fan, basis.unit
+    lengths = [basis.length(primitive_of_rational(fan.wall_chambers[k][0][1]))
+               for k in basis.order]
+    for i, (table, hull) in enumerate(zip(basis.tables,
+                                          _hull_basis(basis).tables)):
+        ref = [vscale(unit, v) for v in hull]
+        shift = vsub(table[0], ref[0])
+        assert all(vsub(t, v) == shift for t, v in zip(table, ref)), i
+        assert table_steps(fan, table, basis.order) == demote_vector(
+            basis.vectors[i][k] * unit / l
+            for k, l in zip(basis.order, lengths)), i
 
 
 def phi_expand_over_the_field(P, basis, not_refined) -> tuple:
@@ -376,9 +419,14 @@ def phi_expand_over_the_field(P, basis, not_refined) -> tuple:
                       for j in range(len(basis.order))],
                      [wp[k] for k in basis.order])
     certify_signed_sum(chamber_vertices(P, basis.fan, not_refined), y,
-                       basis_of_polytopes(basis, basis.polytopes,
-                                          not_refined))
+                       _hull_basis(basis))
     return demote_vector(y)
+
+
+@functools.lru_cache(maxsize=None)
+def _hull_basis(basis):
+    """basis_of_polytopes on the basis hulls, built once per basis."""
+    return basis_of_polytopes(basis, basis.polytopes)
 
 
 def expand_by_lattice_solve(Q, basis) -> tuple:

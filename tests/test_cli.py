@@ -822,11 +822,10 @@ class TestPolynomialContractFuzz:
 
 def dilate_first_polytope(basis):
     """The basis with its first polytope swapped for twice itself."""
-    first = tuple(tuple(2 * x for x in v) for v in basis.tables[0])
-    return FactorizationBasis(basis.fan, basis.vectors,
-                              [first] + list(basis.tables[1:]),
-                              order=basis.order, length=basis.length,
-                              unit=basis.unit)
+    bad = FactorizationBasis(basis.fan, basis.vectors, order=basis.order,
+                             length=basis.length, unit=basis.unit)
+    bad.tables[0] = tuple(tuple(2 * x for x in v) for v in basis.tables[0])
+    return bad
 
 
 class TestCertificates:

@@ -17,12 +17,14 @@ import pytest
 
 from reference_routes import (
     basis_of_polytopes,
+    check_basis_tables,
     covector_lift,
     coxeter_fan_by_sign_vectors,
     phi_expand_over_the_field,
     phi_kernel_by_nullspace,
     root_form_rows,
     signed_sum_holds,
+    table_steps,
     wall_lengths_by_face_queries,
 )
 from tropfactor import coxeter, minkowski, polyhedra
@@ -51,6 +53,7 @@ from tropfactor.exact import (
     nullspace_field,
     primitive_of_rational,
     scalar_sqrt,
+    sign,
     solve_linear,
     vadd,
     vscale,
@@ -309,18 +312,26 @@ class TestCoxeterFanAgainstSignVectors:
 
     @pytest.mark.parametrize("tag", FAN_TYPES)
     def test_one_hull_per_fan(self, tag, monkeypatch):
+        """One dd_cone call and one pass that derives cells per fan."""
         rs = rsys(tag)
-        calls = []
-        real_dd = polyhedra.dd_cone
+        calls, passes = [], []
+        real_dd, real_cells = polyhedra.dd_cone, polyhedra.Fan._compute_cells
 
         def dd(*args):
             calls.append(args)
             return real_dd(*args)
 
+        def cells(fan):
+            if fan._walls is None:
+                passes.append(fan)
+            real_cells(fan)
+
         monkeypatch.setattr(polyhedra, "dd_cone", dd)
         monkeypatch.setattr(minkowski, "dd_cone", dd)
+        monkeypatch.setattr(polyhedra.Fan, "_compute_cells", cells)
         coxeter_fan(rs).fan.ridges  # cells are computed on demand
         assert len(calls) == 1
+        assert len(passes) == 1
 
 
 class TestRootBalanced:
@@ -588,10 +599,9 @@ class TestPhiExpand:
         basis = phi_weight_cone_basis(cfan("B2"))
         y = phi_expand(P1, basis)
         i = next(i for i, c in enumerate(y) if c)
-        tables = list(basis.tables)
-        tables[i] = tuple(vscale(2, v) for v in tables[i])
-        bad = FactorizationBasis(basis.fan, basis.vectors, tables,
-                                 order=basis.order, length=basis.length)
+        bad = FactorizationBasis(basis.fan, basis.vectors, order=basis.order,
+                                 length=basis.length)
+        bad.tables[i] = tuple(vscale(2, v) for v in basis.tables[i])
         with pytest.raises(CertificateError):
             phi_expand(P1, bad)
 
@@ -653,16 +663,6 @@ class TestChamberCertificate:
         for P in phi_test_polytopes("B2"):
             assert phi_expand(P, moved) == phi_expand(P, basis)
 
-    def test_signed_reconstruction_has_no_table(self):
-        cf = cfan("B2")
-        basis = phi_basis("B2")
-        w = {k: a - b for k, a, b in zip(cf.wall_order,
-                                          basis.matrix()[2],
-                                          basis.matrix()[0])}
-        assert reconstruct_phi(cf, w).chamber_table is None
-        for B in basis.polytopes:
-            assert B.chamber_table[0] is cf.fan
-
     @pytest.mark.parametrize("tag", ["B2", "A3"])
     def test_wall_lengths_match_face_queries(self, tag):
         cf = cfan(tag)
@@ -695,6 +695,23 @@ class TestChamberCertificate:
         assert calls == {"dd_cone": 0, "__add__": 0}
         monkeypatch.undo()
         assert signed_sum_holds(P, y, basis.polytopes)
+
+
+class TestBasisTablesAgainstPolytopes:
+    """Each walked basis table is the chamber table of its polytope."""
+
+    @pytest.mark.parametrize("tag", ("A1", "A2", "A3", "B2"))
+    def test_tables_step_by_their_vectors(self, tag):
+        check_basis_tables(phi_basis(tag))
+
+    def test_signed_walk_is_the_difference_of_two_tables(self):
+        cf, basis = cfan("B2"), phi_basis("B2")
+        w = {k: a - b for k, a, b in zip(cf.wall_order, basis.matrix()[2],
+                                          basis.matrix()[0])}
+        assert any(sign(x) < 0 for x in w.values())
+        assert reconstruct_phi(cf, w) == LatticePolytope(
+            [vsub(a, b) for a, b in zip(basis.tables[2], basis.tables[0])]
+        ).normalize_translation()
 
 
 class TestPhiPermutahedron:
@@ -938,7 +955,7 @@ class TestBasisChecksSurvivePythonO:
             from fractions import Fraction
 
             import tropfactor.coxeter as coxeter
-            from tropfactor.exact import CertificateError
+            from tropfactor.exact import CertificateError, primitive_of_rational
 
             if __debug__:
                 raise SystemExit("asserts are on")
@@ -958,19 +975,23 @@ class TestBasisChecksSurvivePythonO:
             image_basis = coxeter.RayHeights.image_basis
             # unit vectors are not balanced
             coxeter.RayHeights.image_basis = lambda self, order: [
-                (tuple(Fraction(int(i == j)) for j in range(len(order))),
-                 (Fraction(0),) * len(self.rays))
+                tuple(Fraction(int(i == j)) for j in range(len(order)))
                 for i in range(len(order))]
             expect_failure(basis)
             # balanced vectors that miss the all-ones vector
             coxeter.RayHeights.image_basis = lambda self, order: image_basis(
                 self, order)[:-1]
             expect_failure(basis)
-            # heights that do not give their vectors
-            coxeter.RayHeights.image_basis = lambda self, order: [
-                (z, tuple(2 * x for x in h))
-                for z, h in image_basis(self, order)]
-            expect_failure(basis)
+            # walls on one mirror measured twice too long after balancing:
+            # the walk of a balanced vector does not close
+            coxeter.RayHeights.image_basis = image_basis
+            cf = coxeter.coxeter_fan(rs)
+            cf.balance_rows()
+            norm = rs.primal_norm
+            p = primitive_of_rational(rs.mirror(rs.int_simple[0]))
+            rs.primal_norm = lambda d: 2 * norm(d) if primitive_of_rational(
+                d) in (p, tuple(-x for x in p)) else norm(d)
+            expect_failure(lambda: coxeter.phi_weight_cone_basis(cf))
             print(failures)
             """)
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -1073,35 +1094,19 @@ class TestCellChecksSurvivePythonO:
 # of Phi and the expansion with every wall length over Q(sqrt(2))
 
 
-def table_steps(fan, table, order):
-    """The lattice weight of each wall read off a chamber table.
-
-    Crossing a wall into chamber D the table steps by the weight times
-    the primitive inward normal p of D; the step must be parallel to p.
-    """
-    out = []
-    for k in order:
-        (i, _), (j, inward) = fan.wall_chambers[k]
-        p = primitive_of_rational(inward)
-        step = vsub(table[j], table[i])
-        t = next(t for t, x in enumerate(p) if x)
-        w = step[t] / p[t]
-        assert step == vscale(w, p), k
-        out.append(w)
-    return tuple(out)
-
-
 class TestRayHeights:
     @pytest.mark.parametrize("tag", ("A1", "A2", "A3", "A4", "B2"))
     def test_kernel_equals_the_nullspace_route(self, tag):
         cf = cfan(tag)
         heights = ray_heights(cf.fan)
         image = heights.image_basis(cf.wall_order)
-        Phi, _ = cf.balance_rows()
-        assert [typed(z) for z, _ in image] == \
+        Phi, lengths = cf.balance_rows()
+        assert [typed(z) for z in image] == \
             [typed(z) for z in nullspace_field(Phi, ncols=len(cf.wall_order))]
-        for z, h in image:
-            assert table_steps(cf.fan, heights.table(h), cf.wall_order) == z
+        basis = phi_basis(tag)
+        for w, table in zip(basis.vectors, basis.tables):
+            assert table_steps(cf.fan, table, cf.wall_order) == demote_vector(
+                w[k] * basis.unit / l for k, l in zip(cf.wall_order, lengths))
         assert len(image) == len(heights.rays) - cf.rs.n
 
     @pytest.mark.parametrize("tag", ("A2", "A3", "B2"))

@@ -8,6 +8,7 @@ import pytest
 from reference_routes import (
     NotRefining,
     basis_of_polytopes,
+    check_basis_tables,
     complete_factorizations,
     expand_by_lattice_solve,
     is_strict_balanced_coarsening,
@@ -21,6 +22,7 @@ from tropfactor.exact import (
     rational_content,
     same_lattice,
     vscale,
+    vsub,
 )
 from tropfactor.minkowski import (
     FactorizationBasis,
@@ -44,6 +46,7 @@ from tropfactor.minkowski import (
     wall_lengths,
     weight_cone_basis,
 )
+from tropfactor.permutahedra import simplex_family_basis
 from tropfactor.polyhedra import Fan, LatticePolytope, Polyhedron
 from tropfactor.tropical import TropicalPolynomial
 
@@ -389,10 +392,10 @@ class TestWeightVector:
 
 def dilated_basis(basis, i):
     """The basis with its i-th table swapped for that of twice its polytope."""
-    tables = list(basis.tables)
-    tables[i] = tuple(vscale(2, v) for v in tables[i])
-    return FactorizationBasis(basis.fan, basis.vectors, tables,
-                              order=basis.order, length=basis.length)
+    bad = FactorizationBasis(basis.fan, basis.vectors, order=basis.order,
+                             length=basis.length)
+    bad.tables[i] = tuple(vscale(2, v) for v in basis.tables[i])
+    return bad
 
 
 class TestCertificates:
@@ -437,9 +440,8 @@ class TestCertificates:
             "from tropfactor.polyhedra import LatticePolytope\n"
             f"S = LatticePolytope({OCTAGON!r})\n"
             "basis = weight_cone_basis(S.normal_fan())\n"
-            "tables = [[2 * x for x in v] for v in basis.tables[0]]\n"
-            "bad = FactorizationBasis(basis.fan, basis.vectors,\n"
-            "                         [tables] + basis.tables[1:])\n"
+            "bad = FactorizationBasis(basis.fan, basis.vectors)\n"
+            "bad.tables[0] = [[2 * x for x in v] for v in basis.tables[0]]\n"
             "try:\n"
             "    expand_in_basis(S, bad)\n"
             "except CertificateError:\n"
@@ -462,17 +464,25 @@ class TestCertificates:
             "minkowski.divide = lambda f, g: real(f, g) * one\n"
             "P = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])\n"
             "Q = LatticePolytope([(0, 0), (1, 0)])\n"
-            "for call in (lambda: minkowski.factor(P, Q),\n"
-            "             lambda: permutahedra.simplex_family_basis(2)):\n"
+            "def expect_failure(call):\n"
             "    try:\n"
             "        call()\n"
             "    except CertificateError:\n"
             "        print('raised')\n"
-            "    permutahedra.same_lattice = lambda a, b: False\n")
+            "expect_failure(lambda: minkowski.factor(P, Q))\n"
+            "permutahedra.same_lattice = lambda a, b: False\n"
+            "expect_failure(lambda: permutahedra.simplex_family_basis(2))\n"
+            "# a weight cone with a line\n"
+            "minkowski.dd_cone = lambda cons, n: ([], [(1,) * n], [])\n"
+            "expect_failure(lambda: minkowski.weight_cone_basis("
+            "P.normal_fan()))\n"
+            "# a lattice basis of the segment's span that misses its edge\n"
+            "minkowski.in_lattice = lambda B, v: None\n"
+            "expect_failure(lambda: minkowski.maximal_summand_pairs(Q))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "raised\nraised\n"
+        assert proc.stdout == "raised\n" * 4
 
 
 # ---------------------------------------------------------------------------
@@ -537,28 +547,13 @@ class TestChamberCertificate:
         _, basis = octagon_basis()
         y = expand_in_basis(P1, basis)
         i = next(i for i, c in enumerate(y) if c)
-        tables = list(basis.tables)
+        table = basis.tables[i]
+        bad = FactorizationBasis(basis.fan, basis.vectors)
         # one chamber's vertex moved: the table steps by no weight vector
-        tables[i] = ((tables[i][0][0] + 1,) + tables[i][0][1:],) \
-            + tuple(tables[i][1:])
-        bad = FactorizationBasis(basis.fan, basis.vectors, tables)
+        bad.tables[i] = ((table[0][0] + 1,) + table[0][1:],) \
+            + tuple(table[1:])
         with pytest.raises(CertificateError):
             expand_in_basis(P1, bad)
-
-    def test_reconstruction_carries_a_table_only_for_nonnegative_weights(self):
-        fan, basis = octagon_basis()
-        for w in basis.vectors:
-            B = reconstruct_from_fan(fan, w.by_key)
-            assert B.chamber_table[0] is fan
-            fresh = LatticePolytope(B.vertices)
-            assert chamber_vertices(B, fan, NotRefined) == \
-                chamber_vertices(fresh, fan, NotRefined)
-        signed = {k: a - b for k, a, b in zip(basis.order,
-                                              basis.vectors[1].values,
-                                              basis.vectors[0].values)}
-        assert any(v < 0 for v in signed.values())
-        R = reconstruct_from_fan(fan, signed)
-        assert R.chamber_table is None
 
     def test_table_follows_translation_and_scaling(self):
         fan, basis = octagon_basis()
@@ -624,6 +619,54 @@ class TestExpansionAgainstTheLatticeRoute:
                          random_polytope(rng, n, 4, box=2)]
             outcomes += self.check(polytopes, basis)
         assert set(outcomes) == {"y", NotRefined, ValueError}
+
+
+# ---------------------------------------------------------------------------
+# walked basis tables against the chamber tables of the basis polytopes
+
+
+CUBE = LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1)
+                        for z in (0, 1)])
+
+
+class TestBasisTablesAgainstPolytopes:
+    """Each walked basis table is the chamber table of its polytope."""
+
+    def test_octagon_hexagon_and_cube(self):
+        for basis in (octagon_basis()[1], hexagon_basis(),
+                      weight_cone_basis(CUBE.normal_fan())):
+            check_basis_tables(basis)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_normal_fans(self, n):
+        rng = random.Random(f"basis tables {n}")
+        for _ in range(3 if n == 2 else 2):
+            while True:
+                P = random_polytope(rng, n, rng.randint(4, 6), box=2)
+                if P.dim() == n:
+                    break
+            check_basis_tables(weight_cone_basis(P.normal_fan()))
+
+    def test_fan_with_lineality(self):
+        basis = weight_cone_basis(lifted_fan(octagon_basis()[0]))
+        assert all(C.lineality for C in basis.fan.chambers)
+        check_basis_tables(basis)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_simplex_family(self, n):
+        check_basis_tables(simplex_family_basis(n))
+
+    def test_reconstruction_walks_the_tables(self):
+        fan, basis = octagon_basis()
+        for w, B in zip(basis.vectors, basis.polytopes):
+            assert reconstruct_from_fan(fan, w.by_key) == B
+        signed = {k: a - b for k, a, b in zip(basis.order,
+                                              basis.vectors[1].values,
+                                              basis.vectors[0].values)}
+        assert any(v < 0 for v in signed.values())
+        assert reconstruct_from_fan(fan, signed) == LatticePolytope(
+            [vsub(a, b) for a, b in zip(basis.tables[1], basis.tables[0])]
+        ).normalize_translation()
 
 
 # ---------------------------------------------------------------------------
