@@ -38,13 +38,14 @@ from .exact import (
     CertificateError,
     TropfactorError,
     dot,
+    integer_row,
     primitive_of_rational,
     rational_content,
     sign,
     vadd,
     vsub,
 )
-from .polyhedra import Fan, LatticePolytope, demote_vector, integer_row
+from .polyhedra import Fan, LatticePolytope, demote_vector
 from .tropical import TropicalComplex, TropicalPolynomial
 
 

@@ -1,10 +1,15 @@
-"""Exact scalars and integer linear algebra.
+"""Exact scalars and linear algebra.
 
 Everything downstream (hulls, fans, balancing tests, cone membership)
 reduces to sign decisions, so this module deliberately offers no floating
 point path.  Scalars are ``int``, ``fractions.Fraction`` or :class:`QuadExt`
 elements a + b*sqrt(d) of a real quadratic field; the sign of a + b*sqrt(d)
 is decided by comparing a^2 with d*b^2, never by approximation.
+
+row_reduce, rank, solve_linear and nullspace_field share one elimination
+per kind of matrix: a rational one is scaled to integers row by row and
+eliminated fraction-free, one with a QuadExt entry by Gauss-Jordan over
+Q(sqrt(d)).
 
 The integer side (Hermite normal form, kernels, lattice membership) backs
 the weight-cone computations; kernels of integer matrices are saturated,
@@ -314,86 +319,108 @@ def primitive_vector(v: Sequence[int]) -> tuple:
     return tuple(a // g for a in v)
 
 
+def integer_row(a) -> tuple:
+    """Positive integer rescale of a rational row; other rows pass through.
+
+    Rescaling a row by a positive factor leaves its span, the cone it
+    cuts out and the pivots of its matrix unchanged, but lets elimination
+    and the double description loops run on plain machine integers.
+    """
+    if all(isinstance(x, int) for x in a):
+        return tuple(a)
+    if all(isinstance(x, (int, Fraction)) for x in a):
+        m = 1
+        for x in a:
+            if isinstance(x, Fraction):
+                m = m * x.denominator // math.gcd(m, x.denominator)
+        return tuple(int(x * m) for x in a)
+    return tuple(a)
+
+
 def rational_content(v) -> Fraction:
     """The unique q > 0 such that v/q is a primitive integer vector."""
-    fracs = [Fraction(a) for a in v]
-    if all(a == 0 for a in fracs):
-        raise ZeroVector("the zero vector has no content")
-    den = 1
-    for a in fracs:
-        den = den * a.denominator // math.gcd(den, a.denominator)
-    ints = [int(a * den) for a in fracs]
-    return Fraction(vgcd(ints), den)
+    u = primitive_of_rational(v)
+    k = next(i for i, x in enumerate(u) if x)
+    return Fraction(v[k]) / u[k]
 
 
 def primitive_of_rational(v) -> tuple:
     """Primitive integer vector with the same direction as the rational v."""
-    if all(isinstance(a, int) for a in v):
-        return primitive_vector(v)
-    c = rational_content(v)
-    return tuple(int(Fraction(a) / c) for a in v)
+    return primitive_vector(integer_row(v))
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over a field (Fraction or QuadExt entries)
+# linear algebra: fraction-free over Q, Gauss-Jordan over Q(sqrt(d))
 
 
-def row_reduce(rows):
-    """Reduced row echelon form.  Returns (rref rows, pivot column list)."""
-    mat = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _eliminate(rows, above: bool):
+    """(mat, pivots, field): the rows eliminated, with their pivot columns.
+
+    Rational rows are scaled to integers (integer_row), zero rows are
+    dropped, and each step is fraction-free, as in Bareiss (Math. Comp.
+    22, 1968) with the row gcd as divisor: a row r becomes
+    (p[c] r - r[c] p) / gcd, p the pivot row.  Each row stays a nonzero
+    multiple of the row Gauss-Jordan would hold, so the pivots agree.
+    With a QuadExt entry (field), where such entries grow without bound,
+    it is Gauss-Jordan over the field.  Rows below each pivot are
+    cleared, with above also those over it: the first len(pivots) rows
+    are then reduced up to one factor per row.
+    """
+    mat, field = [], False
+    for a in rows:
+        if not all(isinstance(x, int) for x in a):
+            if not all(isinstance(x, (int, Fraction)) for x in a):
+                mat, field = [[Fraction(x) if isinstance(x, int) else x
+                               for x in a] for a in rows], True
+                break
+            a = integer_row(a)
+        if any(a):
+            mat.append(list(a))
     pivots = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
         p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if p is None:
             continue
         mat[r], mat[p] = mat[p], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
-
-
-def field_rank(rows) -> int:
-    return len(row_reduce(rows)[0])
-
-
-def integer_rank(rows) -> int:
-    """Rank of an integer matrix, by fraction-free elimination.
-
-    Each elimination step replaces a row r below the pivot row p by
-    p[c] * r - r[c] * p and divides it by the gcd of its entries, so the
-    entries stay small integers and no Fraction is made.
-    """
-    mat = [r for r in rows if any(r)]
-    rank = 0
-    for c in range(len(mat[0]) if mat else 0):
-        p = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if p is None:
-            continue
-        mat[rank], mat[p] = mat[p], mat[rank]
-        pivot = mat[rank]
+        if field:
+            inv = mat[r][c]
+            mat[r] = [u / inv for u in mat[r]]
+        pivot = mat[r]
         x = pivot[c]
-        for i in range(rank + 1, len(mat)):
+        for i in range(0 if above else r + 1, len(mat)):
             y = mat[i][c]
-            if y:
-                r = [x * u - y * w for u, w in zip(mat[i], pivot)]
-                g = math.gcd(*r)
-                mat[i] = [u // g for u in r] if g > 1 else r
-        rank += 1
-        if rank == len(mat):
+            if not y or i == r:
+                continue
+            if field:
+                mat[i] = [u - y * w for u, w in zip(mat[i], pivot)]
+            else:
+                row = [x * u - y * w for u, w in zip(mat[i], pivot)]
+                g = math.gcd(*row)
+                mat[i] = [u // g for u in row] if g > 1 else row
+        pivots.append(c)
+        if r + 1 == len(mat):
             break
-    return rank
+    return mat, pivots, field
+
+
+def row_reduce(rows):
+    """Reduced row echelon form.  Returns (rref rows, pivot column list).
+
+    The entries come back as Fractions, or QuadExt.  A rational matrix is
+    eliminated fraction-free and each row divided by its pivot at the end.
+    """
+    mat, pivots, field = _eliminate(rows, True)
+    if field:
+        return [tuple(row) for row in mat[:len(pivots)]], pivots
+    return [tuple(Fraction(u, row[c]) for u in row)
+            for row, c in zip(mat, pivots)], pivots
+
+
+def rank(rows) -> int:
+    """Rank of a matrix: the pivot count of the elimination of row_reduce,
+    clearing only below the pivots."""
+    return len(_eliminate(rows, False)[1])
 
 
 def solve_linear(rows, rhs):
@@ -416,11 +443,7 @@ def solve_linear(rows, rhs):
 
 def nullspace_field(rows, ncols=None):
     """Basis of {x : A x = 0} over the field of the entries."""
-    if not rows:
-        return [tuple()] if ncols in (None, 0) else \
-            [tuple(Fraction(1) if i == j else Fraction(0) for j in range(ncols))
-             for i in range(ncols)]
-    n = ncols if ncols is not None else len(rows[0])
+    n = ncols if ncols is not None else len(rows[0]) if rows else 0
     red, pivots = row_reduce(rows)
     free = [c for c in range(n) if c not in pivots]
     basis = []

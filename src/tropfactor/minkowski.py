@@ -197,21 +197,23 @@ class FactorizationBasis:
         lattice weight times the primitive inward normal p of D, so the
         weight is (v_D - v_C) / p at a nonzero coordinate of p, and l_k
         times it the weight in the metric, l_k the length of p.  The
-        first call keeps r walls whose rows of the basis matrix are
-        independent, with the inverse of that block times l_k / (unit
-        p), so each call is one product with r vertex differences.  The
-        other walls are not read: the certificate of expand checks them.
-        CertificateError when the basis vectors are dependent.
+        first call row-reduces [basis matrix | I_r] once: the pivots of
+        the left block are r walls whose basis matrix columns are
+        independent, the right block the inverse of that r x r block,
+        and its transpose times l_k / (unit p) is kept, so each call is
+        one product with r vertex differences.  The other walls are not
+        read: the certificate of expand checks them.
+        CertificateError when the basis vectors are dependent, which
+        puts a pivot in the right block.
         """
         if self._solver is None:
-            mat, r = self.matrix(), self.r
-            _, pivots = row_reduce(mat)
+            mat, r, w = self.matrix(), self.r, len(self.order)
+            red, pivots = row_reduce([tuple(row) + tuple(
+                int(i == k) for i in range(r)) for k, row in enumerate(mat)])
+            pivots = [c for c in pivots if c < w]
             if len(pivots) != r:
                 raise CertificateError(
                     "the vectors of a factorization basis are dependent")
-            red, _ = row_reduce([tuple(row[c] for row in mat)
-                                 + tuple(int(i == k) for i in range(r))
-                                 for k, c in enumerate(pivots)])
             steps, scale = [], []
             for col in pivots:
                 (i, _), (j, inward) = self.fan.wall_chambers[self.order[col]]
@@ -221,8 +223,8 @@ class FactorizationBasis:
                 scale.append(self.length(p) / (self.unit * p[t]))
             scale = demote_vector(scale)
             self._solver = (steps, [
-                demote_vector(x * c for x, c in zip(row[r:], scale))
-                for row in red])
+                demote_vector(row[w + j] * c for row, c in zip(red, scale))
+                for j in range(r)])
         steps, inverse = self._solver
         d = [table[j][t] - table[i][t] for i, j, t in steps]
         return tuple(dot(row, d) for row in inverse)

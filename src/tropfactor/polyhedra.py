@@ -23,10 +23,11 @@ from .exact import (
     QuadExt,
     TropfactorError,
     dot,
-    integer_rank,
+    integer_row,
     is_zero_vector,
     primitive_of_rational,
     primitive_vector,
+    rank,
     rational_content,
     row_reduce,
     scalar_sqrt,
@@ -102,23 +103,6 @@ def rref_basis(vectors) -> tuple:
 
 # ---------------------------------------------------------------------------
 # double description
-
-
-def integer_row(a) -> tuple:
-    """Positive integer rescale of a rational row; other rows pass through.
-
-    Rescaling a constraint by a positive factor leaves the cone unchanged
-    but lets the insertion loops run on plain machine integers.
-    """
-    if all(isinstance(x, int) for x in a):
-        return tuple(a)
-    if is_rational_vector(a):
-        m = 1
-        for x in a:
-            if isinstance(x, Fraction):
-                m = m * x.denominator // math.gcd(m, x.denominator)
-        return tuple(int(x * m) for x in a)
-    return tuple(a)
 
 
 def dd_cone(constraints, n):
@@ -240,14 +224,6 @@ def in_mask(items, mask) -> list:
         out.append(items[(mask & -mask).bit_length() - 1])
         mask &= mask - 1
     return out
-
-
-def _rank(vectors) -> int:
-    """Rank of the vectors: fraction-free when each is rational."""
-    rows = [integer_row(v) for v in vectors]
-    if all(isinstance(x, int) for r in rows for x in r):
-        return integer_rank(rows)
-    return len(rref_basis(rows))
 
 
 def point_hull(points, rays=()):
@@ -396,7 +372,7 @@ class Polyhedron:
         if not verts:
             return -1
         diffs = [vsub(v, verts[0]) for v in verts[1:]]
-        return len(rref_basis(diffs + list(rays) + list(lin)))
+        return rank(diffs + list(rays) + list(lin))
 
     def key(self):
         """Canonical hashable identity of the point set."""
@@ -703,7 +679,7 @@ class LatticePolytope:
             pts = [v for v, m in zip(self.vertices, self._tight)
                    if m & t1 & t2 == t1 & t2]
             diffs = [vsub(p, pts[0]) for p in pts[1:]]
-            if len(rref_basis(diffs)) == 2:
+            if rank(diffs) == 2:
                 faces.add(frozenset(pts))
         return sorted(faces, key=lambda f: sorted(f))
 
@@ -825,7 +801,7 @@ class Fan:
                     walls[wk] = W
                     for other, t in near[row]:
                         R = cell([ineqs[row], ineqs[other]], t)
-                        if _rank(R.rays + list(lin)) != self.n - 2:
+                        if rank(R.rays + list(lin)) != self.n - 2:
                             raise CertificateError(
                                 f"rows {row}, {other} of cone {ci}: no ridge")
                         ridges.setdefault(R.key(), R)

@@ -23,7 +23,7 @@ from .coxeter import (
     root_balanced,
 )
 from .division import NegativeWeight, divide
-from .exact import SQRT2, field_rank, same_lattice
+from .exact import SQRT2, rank, same_lattice
 from .minkowski import WeightVector, expand_in_basis, weight_cone_basis
 from .permutahedra import (
     deformation_cone_contains,
@@ -248,9 +248,9 @@ def check_corrected_field_matrix() -> Tuple[bool, str]:
         if any(x < 0 for x in row):
             return False, f"corrected row {row} has a negative entry"
     basis = phi_weight_cone_basis(cf)
-    joint = field_rank(basis.matrix() + rows)
-    if joint != basis.r or field_rank(rows) != basis.r:
-        return False, f"corrected rows span rank {field_rank(rows)}"
+    joint = rank(basis.matrix() + rows)
+    if joint != basis.r or rank(rows) != basis.r:
+        return False, f"corrected rows span rank {rank(rows)}"
     return True, "balanced, non-negative, same span as the computed basis"
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .division import NotContained, extend_weights, variety_containment_witness
-from .exact import QuadExt, TropfactorError
+from .exact import CertificateError, QuadExt, TropfactorError
 from .polyhedra import Fan, LatticePolytope
 from .tropical import TropicalPolynomial
 
@@ -80,7 +80,8 @@ class _Box:
             bound = hi if d[c] > 0 else lo
             tc = (bound - p[c]) / d[c]
             t = tc if t is None or tc < t else t
-        assert t is not None and t >= 0, "directions are nonzero, p inside"
+        if t is None or t < 0:
+            raise CertificateError(f"the ray {p} + t {d} never leaves the box")
         return t
 
     def clip_ray(self, p, d):
@@ -217,7 +218,9 @@ def _boundary_cycle(P: LatticePolytope) -> List[tuple]:
     cycle = [start, min(adj[start])]
     while True:
         nxt = [w for w in adj[cycle[-1]] if w != cycle[-2]]
-        assert len(nxt) == 1, "polygon vertices have exactly two neighbors"
+        if len(nxt) != 1:
+            raise CertificateError(f"the polygon vertex {cycle[-1]} has "
+                                   f"{len(adj[cycle[-1]])} neighbors, not 2")
         if nxt[0] == start:
             return cycle
         cycle.append(nxt[0])

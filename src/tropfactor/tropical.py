@@ -24,8 +24,9 @@ from .exact import (
     TropfactorError,
     dot,
     integer_nullspace,
-    integer_rank,
+    integer_row,
     primitive_of_rational,
+    rank,
     rational_content,
     sign,
     vadd,
@@ -37,7 +38,6 @@ from .polyhedra import (
     Polyhedron,
     adjacent_pairs,
     in_mask,
-    integer_row,
     normalize_ray,
     point_hull,
     rref_basis,
@@ -218,8 +218,7 @@ class RegularSubdivision:
             if not T & self.upper:
                 continue
             pts = tuple(self.points[k] for k in self._face(T) if k in vs)
-            if pts not in out and integer_rank(
-                    [(1,) + p for p in pts]) == 3:
+            if pts not in out and rank([(1,) + p for p in pts]) == 3:
                 out[pts] = T
         return sorted(out.items())
 
@@ -294,7 +293,7 @@ class TropicalComplex:
         pts = sub.points
         for i, j, T in sub._edge_facets():
             a, b = pts[i], pts[j]
-            if self._rank(T) != self.n:
+            if rank(in_mask(self._rows, T) + self._lin_rows) != self.n:
                 raise CertificateError(
                     f"the subdivision edge {(a, b)} dualizes to no wall")
             ia, ib = index[a], index[b]
@@ -312,10 +311,6 @@ class TropicalComplex:
         return (in_mask(self._generators, T & self._upper),
                 in_mask(self._generators, T & ~self._upper), self._lin)
 
-    def _rank(self, T):
-        """Rank of the facet rows in T with the lineality rows (l, 0)."""
-        return integer_rank(in_mask(self._rows, T) + self._lin_rows)
-
     def _cell(self, i, others, T):
         """The face of chamber i where each term of others ties with its
         term, with the generators of the facets in T."""
@@ -331,7 +326,7 @@ class TropicalComplex:
         self._ridges = {}
         self._ridge_walls = {}
         for face, T in sub._two_face_facets():
-            if self._rank(T) != self.n - 1:
+            if rank(in_mask(self._rows, T) + self._lin_rows) != self.n - 1:
                 raise CertificateError(
                     f"the subdivision 2-face {face} dualizes to no ridge")
             R = self._cell(index[face[0]], face[1:], T)

@@ -23,6 +23,12 @@ the lattice, where the library reads r walls off the polytope's chamber
 table; check_basis_tables reads every wall of every basis table and
 compares it with the chamber table of its polytope.
 
+row_reduce_by_fractions is Gauss-Jordan in Fractions for every matrix,
+where the library eliminates rational matrices fraction-free, and
+nullspace_by_fractions reads a kernel off it; the brute-force oracles of
+the double description use them, since its lineality comes from the
+library's elimination.
+
 The rest are notions of the source paper that no library routine calls:
 the restriction of ordered partitions, which weight_matrix evaluates on
 bitmasks, strict balanced coarsenings, and complete factorizations by
@@ -41,6 +47,7 @@ from tropfactor.exact import (
     dot,
     in_lattice,
     integer_nullspace,
+    integer_row,
     nullspace_field,
     primitive_of_rational,
     rational_content,
@@ -65,10 +72,49 @@ from tropfactor.polyhedra import (
     LatticePolytope,
     Polyhedron,
     demote_vector,
-    integer_row,
     rref_basis,
 )
 from tropfactor.tropical import annihilator_lattice
+
+
+def row_reduce_by_fractions(rows):
+    """Reduced row echelon form.  Returns (rref rows, pivot column list)."""
+    mat = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def nullspace_by_fractions(rows, n):
+    """Basis of {x in K^n : A x = 0}, one vector per free column of the
+    reduced echelon form of row_reduce_by_fractions."""
+    red, pivots = row_reduce_by_fractions(rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
 
 
 def direction_lattice(cell):

@@ -467,7 +467,7 @@ class TestCertificates:
                 failures += 1
             division._maximal_terms = real
             # a wall whose facet rows fall short of rank n
-            tropical.integer_rank = lambda rows: 1
+            tropical.rank = lambda rows: 1
             try:
                 division.divide(TropicalPolynomial(f.terms), g)
             except CertificateError:

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from reference_routes import row_reduce_by_fractions
 from tropfactor.exact import (
     SQRT2,
     NoPositiveWitness,
     QuadExt,
     ZeroVector,
-    field_rank,
     format_rational,
     hnf,
     in_lattice,
@@ -20,6 +20,7 @@ from tropfactor.exact import (
     parse_rational,
     primitive_of_rational,
     primitive_vector,
+    rank,
     rational_content,
     row_reduce,
     same_lattice,
@@ -178,7 +179,7 @@ class TestIntegerNullspace:
                 for row in A:
                     assert sum(a * b for a, b in zip(row, v)) == 0
             # rank-nullity over Q
-            assert len(ker) == n - field_rank(A)
+            assert len(ker) == n - rank(A)
 
 
 class TestLatticeBasisThrough:
@@ -227,7 +228,7 @@ class TestNonnegativeBasis:
             basis = []
             while len(basis) < k:
                 cand = tuple(rng.randint(-3, 3) for _ in range(n))
-                if field_rank(basis + [cand]) > len(basis):
+                if rank(basis + [cand]) > len(basis):
                     basis.append(cand)
             # build a witness from positive combinations when one exists
             wit = None
@@ -271,3 +272,69 @@ class TestFieldSolvers:
         x = solve_linear(rows, (QuadExt(1, 1), QuadExt(1)))
         assert rows[0][0] * x[0] + rows[0][1] * x[1] == QuadExt(1, 1)
         assert x[0] - x[1] == 1
+
+
+class TestEliminationAgainstFractions:
+    """row_reduce and rank against Gauss-Jordan in Fractions.
+
+    Rational matrices are eliminated fraction-free and those with a
+    QuadExt entry over the field; both must give the reference's reduced
+    rows, entry types and pivots, and rank its pivot count.
+    """
+
+    @staticmethod
+    def check(rows):
+        red, pivots = row_reduce(rows)
+        want, want_pivots = row_reduce_by_fractions(rows)
+        assert (red, pivots) == (want, want_pivots)
+        assert repr(red) == repr(want)
+        assert rank(rows) == len(pivots)
+
+    @staticmethod
+    def matrices(rng, entry, count):
+        """Random matrices, with combinations of earlier rows appended."""
+        for _ in range(count):
+            m, n = rng.randint(1, 5), rng.randint(1, 6)
+            rows = [tuple(entry() for _ in range(n)) for _ in range(m)]
+            for _ in range(rng.randint(0, 2)):
+                c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                     for _ in rows]
+                rows.append(tuple(sum((a * r[j] for a, r in zip(c, rows)),
+                                      Fraction(0)) for j in range(n)))
+            rng.shuffle(rows)
+            yield rows
+
+    def test_empty_and_zero_shapes(self):
+        for rows in ([], [()], [(), ()], [(0,)], [(0, 0), (0, 0)],
+                     [(0, 0, 0), (2, 0, 4), (0, 0, 0)], [(0, 3), (0, 1)],
+                     [(Fraction(0), 0), (0, Fraction(5, 3))], [(-7,)],
+                     [(QuadExt(0), 0)], [(0, 0), (SQRT2, 1)]):
+            self.check(rows)
+
+    def test_random_rational(self):
+        rng = random.Random(22)
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            den = rng.choice([1, 1, 6, 10 ** 5])
+            q = Fraction(rng.randint(-10 ** 5, 10 ** 5), rng.randint(1, den))
+            return q.numerator if q.denominator == 1 and rng.random() < 0.5 \
+                else q
+
+        for rows in self.matrices(rng, entry, 200):
+            self.check(rows)
+
+    def test_random_mixed_with_quadext(self):
+        rng = random.Random(23)
+
+        def entry():
+            k = rng.randrange(4)
+            if k == 0:
+                return rng.randint(-3, 3)
+            if k == 1:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            return QuadExt(rng.randint(-3, 3), rng.randint(-2, 2))
+
+        for rows in self.matrices(rng, entry, 80):
+            self.check(rows)

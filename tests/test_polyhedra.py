@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference_routes import nullspace_by_fractions, row_reduce_by_fractions
 from tropfactor import polyhedra
 from tropfactor.coxeter import (
     build_root_system,
@@ -17,8 +18,6 @@ from tropfactor.exact import (
     QuadExt,
     SQRT2,
     dot,
-    field_rank,
-    nullspace_field,
     sign,
     solve_linear,
     vadd,
@@ -49,7 +48,7 @@ def brute_force_vertices(ineqs, n):
         if not all(dot(a, x) <= b for a, b in ineqs):
             continue
         tight = [a for a, b in ineqs if dot(a, x) == b]
-        if field_rank(tight) == n:
+        if len(row_reduce_by_fractions(tight)[1]) == n:
             verts.add(tuple(x))
     return verts
 
@@ -607,7 +606,7 @@ def brute_force_cone(constraints, n):
     values, which determine a ray modulo L up to positive scaling.
     """
     rows = [a for a, _ in constraints]
-    lin = rref_basis(nullspace_field(rows, ncols=n))
+    lin = tuple(row_reduce_by_fractions(nullspace_by_fractions(rows, n))[0])
     d = n - len(lin)
     eqs = [a for a, eq in constraints if eq]
     ineqs = [a for a, eq in constraints if not eq]
@@ -615,10 +614,10 @@ def brute_force_cone(constraints, n):
     for k in range(len(ineqs) + 1):
         for subset in itertools.combinations(ineqs, k):
             tight = eqs + list(subset)
-            if (field_rank(tight) if tight else 0) != d - 1:
+            if len(row_reduce_by_fractions(tight)[1]) != d - 1:
                 continue
             # one direction beyond the lineality, up to sign
-            x = next(v for v in nullspace_field(tight, ncols=n)
+            x = next(v for v in nullspace_by_fractions(tight, n)
                      if any(dot(a, v) for a in ineqs))
             for r in (x, tuple(-c for c in x)):
                 if all(sign(dot(a, r)) >= 0 for a in ineqs):

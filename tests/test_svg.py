@@ -1,5 +1,8 @@
 """SVG rendering: element counts, stroke classes, determinism."""
 
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -131,3 +134,34 @@ class TestRenderPolytope:
     def test_dimension_guard(self):
         with pytest.raises(UnsupportedDimension):
             render_polytope(LatticePolytope([(0, 0, 0), (1, 0, 0)]))
+
+
+class TestChecksSurvivePythonO:
+    def test_clip_and_boundary_checks_raise(self):
+        script = textwrap.dedent("""
+            import tropfactor.svg as svg
+            from tropfactor.exact import CertificateError
+            from tropfactor.polyhedra import LatticePolytope
+
+            if __debug__:
+                raise SystemExit("asserts are on")
+            failures = 0
+            # a zero direction never leaves the box
+            try:
+                svg._Box([(0, 0)]).exit_scale((0, 0), (0, 0))
+            except CertificateError:
+                failures += 1
+            # a diagonal gives (0, 0) and (1, 1) three neighbours each
+            square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+            square.edges = lambda: LatticePolytope.edges(square) + [
+                ((0, 0), (1, 1))]
+            try:
+                svg._boundary_cycle(square)
+            except CertificateError:
+                failures += 1
+            print(failures)
+            """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
